@@ -8,6 +8,7 @@
 #include "src/ml/transforms.h"
 #include "src/obs/trace.h"
 #include "src/support/check.h"
+#include "src/support/parallel_for.h"
 #include "src/support/stats.h"
 
 namespace cdmpp {
@@ -23,11 +24,10 @@ double ClampTransformed(double t) {
   return std::clamp(t, kLabelShift - 6.0, kLabelShift + 6.0);
 }
 
-// Reshapes [B*L, D] <-> [B, L*D] (row-major, so this is a pure view change).
-void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
-  CDMPP_CHECK(x.rows() == batch * seq_len);
-  CDMPP_CHECK(out->rows() == batch && out->cols() == seq_len * x.cols());
-  for (int b = 0; b < batch; ++b) {
+// Reshapes [B*L, D] -> [B, L*D] (row-major, so this is a pure view change)
+// for samples [s0, s1).
+void PackSampleRows(const Matrix& x, int seq_len, int s0, int s1, Matrix* out) {
+  for (int b = s0; b < s1; ++b) {
     float* dst = out->Row(b);
     for (int t = 0; t < seq_len; ++t) {
       const float* src = x.Row(b * seq_len + t);
@@ -38,25 +38,25 @@ void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
   }
 }
 
-Matrix PackRows(const Matrix& x, int batch, int seq_len) {
-  Matrix out(batch, seq_len * x.cols());
-  PackRowsInto(x, batch, seq_len, &out);
-  return out;
+void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
+  CDMPP_CHECK(x.rows() == batch * seq_len);
+  CDMPP_CHECK(out->rows() == batch && out->cols() == seq_len * x.cols());
+  PackSampleRows(x, seq_len, 0, batch, out);
 }
 
-Matrix UnpackRows(const Matrix& x, int seq_len, int d_model) {
-  CDMPP_CHECK(x.cols() == seq_len * d_model);
-  Matrix out(x.rows() * seq_len, d_model);
-  for (int b = 0; b < x.rows(); ++b) {
-    const float* src = x.Row(b);
-    for (int t = 0; t < seq_len; ++t) {
-      float* dst = out.Row(b * seq_len + t);
-      for (int j = 0; j < d_model; ++j) {
-        dst[j] = src[t * d_model + j];
-      }
-    }
-  }
-  return out;
+// Runs fn(scratch, s0, s1) over contiguous sample shards [s0, s1) of a
+// `batch`-sample step as ONE parallel region. Each shard gets a private
+// scratch arena leased from the global pool; GEMMs and other ParallelFor
+// calls inside a shard run inline (nested regions are serial). The shard
+// size follows from the batch and pool sizes alone (ParallelGrain), and
+// results do not depend on it.
+template <typename Fn>
+void RunSampleShards(int batch, Fn&& fn) {
+  ThreadPool::Global().ParallelForWithScratch(
+      WorkspacePool::Global(), 0, batch, ParallelGrain(batch),
+      [&](Workspace* scratch, int64_t s0, int64_t s1) {
+        fn(scratch, static_cast<int>(s0), static_cast<int>(s1));
+      });
 }
 
 }  // namespace
@@ -113,12 +113,12 @@ void CdmppPredictor::EnsureHeads(const Dataset& ds, const std::vector<int>& indi
 }
 
 void CdmppPredictor::RebuildOptimizer() {
-  std::vector<Param*> params;
-  CollectAllParams(&params);
+  params_.clear();
+  CollectAllParams(&params_);
   if (config_.optimizer == OptimizerKind::kAdam) {
-    optimizer_ = std::make_unique<Adam>(std::move(params), config_.lr, config_.weight_decay);
+    optimizer_ = std::make_unique<Adam>(params_, config_.lr, config_.weight_decay);
   } else {
-    optimizer_ = std::make_unique<Sgd>(std::move(params), config_.lr);
+    optimizer_ = std::make_unique<Sgd>(params_, config_.lr);
   }
   if (config_.use_cyclic_lr) {
     scheduler_ =
@@ -128,86 +128,131 @@ void CdmppPredictor::RebuildOptimizer() {
   }
 }
 
-CdmppPredictor::BatchForward CdmppPredictor::Forward(const Dataset& ds, const Batch& batch) {
+void CdmppPredictor::ForwardPass(const Dataset& ds, const Batch& batch) {
   const int b = static_cast<int>(batch.sample_indices.size());
   const int l = batch.seq_len;
-  cached_seq_len_ = l;
-  cached_batch_size_ = b;
-
-  Matrix x = BuildFeatureMatrix(ds, batch, scaler_.fitted() ? &scaler_ : nullptr,
-                                config_.use_pe, config_.pe_theta);
-  Matrix h = encoder_->Forward(input_proj_->Forward(x), l);
   auto head_it = leaf_heads_.find(l);
   CDMPP_CHECK_MSG(head_it != leaf_heads_.end(), "no head for this leaf count");
-  Matrix zx = head_it->second->Forward(PackRows(h, b, l));
-  cached_zx_ = zx;
+  Linear& head = *head_it->second;
+  step_batch_ = b;
+  step_seq_len_ = l;
+  step_head_ = &head;
 
-  Matrix zv = device_mlp_->Forward(BuildDeviceFeatureMatrix(ds, batch));
+  BeginStep(b, l, &head);
 
-  BatchForward out;
-  out.z = Matrix(b, config_.z_dim + config_.device_embed_dim);
-  for (int i = 0; i < b; ++i) {
-    float* row = out.z.Row(i);
-    for (int j = 0; j < config_.z_dim; ++j) {
-      row[j] = zx.At(i, j);
+  const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
+  RunSampleShards(b, [&](Workspace* scratch, int s0, int s1) {
+    const int r0 = s0 * l;
+    const int r1 = s1 * l;
+    BuildFeatureRowsInto(ds, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta, &feat_);
+    const Matrix& h =
+        encoder_->ForwardRows(input_proj_->ForwardRows(feat_, r0, r1), r0, r1, scratch);
+    PackSampleRows(h, l, s0, s1, &packed_);
+    const Matrix& zx = head.ForwardRows(packed_, s0, s1);
+    BuildDeviceFeatureRowsInto(ds, batch, s0, s1, &dev_);
+    const Matrix& zv = device_mlp_->ForwardRows(dev_, s0, s1);
+    for (int i = s0; i < s1; ++i) {
+      float* row = z_.Row(i);
+      std::copy(zx.Row(i), zx.Row(i) + config_.z_dim, row);
+      std::copy(zv.Row(i), zv.Row(i) + config_.device_embed_dim, row + config_.z_dim);
     }
-    for (int j = 0; j < config_.device_embed_dim; ++j) {
-      row[config_.z_dim + j] = zv.At(i, j);
-    }
-  }
-  out.preds = decoder_->Forward(out.z);
-  return out;
+    decoder_->ForwardRows(z_, s0, s1);
+  });
 }
 
-void CdmppPredictor::Backward(const Batch& /*batch*/, const Matrix& dpred,
-                              const Matrix& dz_extra) {
-  // The batch itself is not re-read here: every activation the backward pass
-  // needs was cached by the preceding Forward (cached_batch_size_ et al.).
-  const int b = cached_batch_size_;
-  const int l = cached_seq_len_;
-  Matrix dz;
-  if (!dpred.empty()) {
-    dz = decoder_->Backward(dpred);
-  } else {
-    dz = Matrix(b, config_.z_dim + config_.device_embed_dim);
-  }
-  if (!dz_extra.empty()) {
-    dz.AddInPlace(dz_extra);
-  }
+void CdmppPredictor::BeginStep(int b, int l, Linear* head) {
+  const int z_cols = config_.z_dim + config_.device_embed_dim;
+  SizeStepCache(&feat_, b * l, kFeatDim);
+  SizeStepCache(&packed_, b, l * config_.d_model);
+  SizeStepCache(&dev_, b, kDeviceFeatDim);
+  SizeStepCache(&z_, b, z_cols);
+  SizeStepCache(&dz_, b, z_cols);
+  input_proj_->BeginStep(b * l);
+  encoder_->BeginStep(b * l, l);
+  head->BeginStep(b);
+  device_mlp_->BeginStep(b);
+  decoder_->BeginStep(b);
+}
 
-  Matrix dzx(b, config_.z_dim);
-  Matrix dzv(b, config_.device_embed_dim);
-  for (int i = 0; i < b; ++i) {
-    const float* row = dz.Row(i);
-    for (int j = 0; j < config_.z_dim; ++j) {
-      dzx.At(i, j) = row[j];
-    }
-    for (int j = 0; j < config_.device_embed_dim; ++j) {
-      dzv.At(i, j) = row[config_.z_dim + j];
-    }
+void CdmppPredictor::ReleaseStepCaches() {
+  for (auto& [leaves, head] : leaf_heads_) {
+    BeginStep(0, leaves, head.get());
   }
-  device_mlp_->Backward(dzv);
-  Matrix dh_flat = leaf_heads_.at(l)->Backward(dzx);
-  Matrix dh = UnpackRows(dh_flat, l, config_.d_model);
-  input_proj_->Backward(encoder_->Backward(dh));
+  step_head_ = nullptr;
+}
+
+void CdmppPredictor::BackwardPass(bool through_decoder, const Matrix& dz_extra) {
+  const int l = step_seq_len_;
+  Linear& head = *step_head_;
+  RunSampleShards(step_batch_, [&](Workspace* scratch, int s0, int s1) {
+    if (through_decoder) {
+      decoder_->BackpropRows(s0, s1);
+      decoder_->InputGradRows(s0, s1, dz_.Row(s0), dz_.cols());
+    } else {
+      std::fill(dz_.Row(s0), dz_.Row(s1), 0.0f);
+    }
+    Matrix& dzx = head.output_grad();
+    Matrix& dzv = device_mlp_->output_grad();
+    for (int i = s0; i < s1; ++i) {
+      float* row = dz_.Row(i);
+      if (!dz_extra.empty()) {
+        const float* extra = dz_extra.Row(i);
+        for (int j = 0; j < dz_.cols(); ++j) {
+          row[j] += extra[j];
+        }
+      }
+      std::copy(row, row + config_.z_dim, dzx.Row(i));
+      std::copy(row + config_.z_dim, row + dz_.cols(), dzv.Row(i));
+    }
+    // Neither the device MLP's nor the input projection's input gradient has
+    // a reader, so neither is computed.
+    device_mlp_->BackpropRows(s0, s1);
+    // The head's input [B, L * d_model] and the encoder output [B * L,
+    // d_model] share one row-major layout, so the head's input gradient is
+    // written straight into the encoder's output gradient.
+    Matrix& dh = encoder_->output_grad();
+    head.InputGradRows(s0, s1, dh.Row(s0 * l), l * dh.cols());
+    encoder_->InputGradRows(s0 * l, s1 * l, scratch, &input_proj_->output_grad());
+  });
+
+  std::vector<GradTask> tasks;
+  input_proj_->AppendGradTasks(feat_, &tasks);
+  encoder_->AppendGradTasks(input_proj_->output(), &tasks);
+  head.AppendGradTasks(packed_, &tasks);
+  device_mlp_->AppendGradTasks(dev_, &tasks);
+  if (through_decoder) {
+    decoder_->AppendGradTasks(z_, &tasks);
+  }
+  ParallelFor(0, static_cast<int64_t>(tasks.size()), 1, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      RunGradTask(tasks[static_cast<size_t>(t)]);
+    }
+  });
 }
 
 void CdmppPredictor::ClipGradients() {
   if (config_.grad_clip <= 0.0) {
     return;
   }
-  std::vector<Param*> params;
-  CollectAllParams(&params);
+  const int64_t n = static_cast<int64_t>(params_.size());
+  std::vector<double> norms(params_.size());
+  ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      norms[static_cast<size_t>(i)] = params_[static_cast<size_t>(i)]->grad.SquaredNorm();
+    }
+  });
   double norm_sq = 0.0;
-  for (Param* p : params) {
-    norm_sq += p->grad.SquaredNorm();
+  for (double v : norms) {
+    norm_sq += v;
   }
   double norm = std::sqrt(norm_sq);
   if (norm > config_.grad_clip) {
     float scale = static_cast<float>(config_.grad_clip / norm);
-    for (Param* p : params) {
-      p->grad.Scale(scale);
-    }
+    ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        params_[static_cast<size_t>(i)]->grad.Scale(scale);
+      }
+    });
   }
 }
 
@@ -319,27 +364,24 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
     size_t step_in_epoch = 0;
     for (const Batch& batch : batches) {
       optimizer_->set_learning_rate(scheduler_->LrAt(global_step_));
-      // Zero all grads.
-      std::vector<Param*> params;
-      CollectAllParams(&params);
-      for (Param* p : params) {
+      for (Param* p : params_) {
         p->grad.Zero();
       }
 
       // ---- Prediction loss pass. ----
-      BatchForward fwd = Forward(ds, batch);
+      ForwardPass(ds, batch);
       std::vector<float> preds(batch.sample_indices.size());
       std::vector<float> targets(batch.sample_indices.size());
       for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-        preds[i] = fwd.preds.At(static_cast<int>(i), 0);
+        preds[i] = decoder_->output().At(static_cast<int>(i), 0);
         targets[i] = transformed[static_cast<size_t>(batch.sample_indices[i])];
       }
       LossResult loss = ComputeLoss(config_.loss, preds, targets, config_.lambda_mape);
-      Matrix dpred(static_cast<int>(preds.size()), 1);
+      Matrix& dpred = decoder_->output_grad();
       for (size_t i = 0; i < preds.size(); ++i) {
         dpred.At(static_cast<int>(i), 0) = loss.grad[i];
       }
-      Backward(batch, dpred, Matrix());
+      BackwardPass(/*through_decoder=*/true, Matrix());
       double step_loss = loss.value;
 
       // ---- CMD regularizer pass (one side per step, alternating). ----
@@ -352,13 +394,14 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
             update_source ? src_batches[step_in_epoch % src_batches.size()]
                           : tgt_batches[step_in_epoch % tgt_batches.size()];
         // Constant side first (its caches are overwritten by the grad side).
-        Matrix z_const = Forward(ds, const_batch).z;
-        BatchForward grad_fwd = Forward(ds, grad_batch);
-        Matrix dz(grad_fwd.z.rows(), grad_fwd.z.cols());
+        ForwardPass(ds, const_batch);
+        Matrix z_const = z_;
+        ForwardPass(ds, grad_batch);
+        Matrix dz(z_.rows(), z_.cols());
         Matrix dz_const(z_const.rows(), z_const.cols());
-        double cmd = CmdDistanceWithGrad(grad_fwd.z, z_const, config_.cmd_moments,
+        double cmd = CmdDistanceWithGrad(z_, z_const, config_.cmd_moments,
                                          /*span=*/-1.0, alpha, &dz, &dz_const);
-        Backward(grad_batch, Matrix(), dz);
+        BackwardPass(/*through_decoder=*/false, dz);
         step_loss += alpha * cmd;
       }
 
@@ -370,6 +413,9 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       epoch_loss += step_loss;
     }
     stats.epoch_train_loss.push_back(epoch_loss / std::max<size_t>(1, batches.size()));
+    // Validation between epochs runs with the training caches released, so
+    // its forward reuses their memory instead of stacking on top of it.
+    ReleaseStepCaches();
 
     if (!valid.empty()) {
       EvalStats v = Evaluate(ds, valid);
@@ -397,24 +443,20 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
 std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
   CDMPP_CHECK(fitted_);
   EnsureHeads(ds, indices);
+  AstBatchView view;
+  view.asts.reserve(indices.size());
+  view.device_ids.reserve(indices.size());
+  for (int idx : indices) {
+    const Sample& s = ds.samples[static_cast<size_t>(idx)];
+    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
+    view.device_ids.push_back(s.device_id);
+  }
+  // A call-local arena rather than a global-pool lease: validation runs
+  // between training epochs, and a pooled arena would pin its whole-forward
+  // footprint next to the training caches for the life of the process.
+  Workspace ws;
   std::vector<double> out(indices.size(), 0.0);
-  // Position of each sample index within `indices` (indices may repeat).
-  std::map<int, std::vector<size_t>> positions;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    positions[indices[i]].push_back(i);
-  }
-  auto buckets = GroupByLeafCount(ds, indices);
-  std::vector<Batch> batches = MakeBatches(buckets, config_.batch_size, /*rng=*/nullptr);
-  for (const Batch& batch : batches) {
-    BatchForward fwd = Forward(ds, batch);
-    for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-      double pred_ms = label_transform_->Inverse(
-          ClampTransformed(static_cast<double>(fwd.preds.At(static_cast<int>(i), 0))));
-      for (size_t pos : positions[batch.sample_indices[i]]) {
-        out[pos] = pred_ms / kSecondsToMs;
-      }
-    }
-  }
+  PredictBatched(view, &ws, out.data());
   return out;
 }
 
@@ -677,15 +719,15 @@ Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& i
   auto buckets = GroupByLeafCount(ds, indices);
   std::vector<Batch> batches = MakeBatches(buckets, config_.batch_size, /*rng=*/nullptr);
   for (const Batch& batch : batches) {
-    BatchForward fwd = Forward(ds, batch);
+    ForwardPass(ds, batch);
     for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
       for (size_t pos : positions[batch.sample_indices[i]]) {
-        for (int j = 0; j < out.cols(); ++j) {
-          out.At(static_cast<int>(pos), j) = fwd.z.At(static_cast<int>(i), j);
-        }
+        std::copy(z_.Row(static_cast<int>(i)), z_.Row(static_cast<int>(i)) + out.cols(),
+                  out.Row(static_cast<int>(pos)));
       }
     }
   }
+  ReleaseStepCaches();
   return out;
 }
 

@@ -102,7 +102,8 @@ class CdmppPredictor {
                       const std::vector<int>& source_domain,
                       const std::vector<int>& target_domain, int epochs);
 
-  // Predicted latencies in seconds (inverse-transformed).
+  // Predicted latencies in seconds (inverse-transformed), computed by the
+  // const PredictBatched forward; creates any missing leaf-count heads.
   std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices);
   // Predicts a single program (by dataset program index) on a device.
   double PredictProgram(const Dataset& ds, int program_index, int device_id);
@@ -209,11 +210,6 @@ class CdmppPredictor {
   void ImportParams(const std::vector<Matrix>& params);
 
  private:
-  struct BatchForward {
-    Matrix z;      // [B, z_dim + device_embed_dim]
-    Matrix preds;  // [B, 1]
-  };
-
   // Creates per-leaf-count heads for every leaf count in the dataset subset.
   void EnsureHeads(const Dataset& ds, const std::vector<int>& indices);
   // Per-channel activation scales for a head's packed encoder-output input
@@ -228,9 +224,26 @@ class CdmppPredictor {
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
                           uint64_t* num_forward_passes, Precision mode) const;
 
-  BatchForward Forward(const Dataset& ds, const Batch& batch);
-  // Backprops d(loss)/d(pred) [B,1] and optionally d(loss)/dz (may be empty).
-  void Backward(const Batch& batch, const Matrix& dpred, const Matrix& dz_extra);
+  // The training step, as a few parallel regions over contiguous sample
+  // shards (README "Training step"; layer row primitives in src/nn/layers.h).
+  // ForwardPass sizes every full-batch cache for `batch`, then runs one
+  // region whose shards each featurize their samples and run them through
+  // the input projection, encoder, head, device MLP and decoder. It leaves
+  // z in z_ and the predictions in decoder_->output().
+  void ForwardPass(const Dataset& ds, const Batch& batch);
+  // Sizes every training cache for a b-sample, l-leaf step through `head`;
+  // ReleaseStepCaches frees them all (BeginStep(0)) once a training call or
+  // latent encoding is done, so an idle model holds only its parameters.
+  void BeginStep(int b, int l, Linear* head);
+  void ReleaseStepCaches();
+  // BackwardPass runs one region of sample shards that carries the output
+  // gradients down to every layer's output gradient — the loss gradient
+  // already written to decoder_->output_grad() when `through_decoder`, plus
+  // `dz_extra` on z when non-empty — then one region with a task per
+  // parameter tensor that accumulates the gradients over the full batch.
+  void BackwardPass(bool through_decoder, const Matrix& dz_extra);
+  // Global-norm clipping: per-tensor squared norms in parallel, summed in
+  // tensor order.
   void ClipGradients();
   std::vector<Matrix> SnapshotParams();
   void RestoreParams(const std::vector<Matrix>& snapshot);
@@ -250,6 +263,7 @@ class CdmppPredictor {
   std::map<int, std::unique_ptr<Linear>> leaf_heads_;  // leaf count -> head
   std::unique_ptr<Mlp> device_mlp_;
   std::unique_ptr<Mlp> decoder_;
+  std::vector<Param*> params_;  // every trainable tensor, CollectAllParams order
   std::unique_ptr<Optimizer> optimizer_;
   std::unique_ptr<LrScheduler> scheduler_;
   int64_t global_step_ = 0;
@@ -264,10 +278,16 @@ class CdmppPredictor {
   std::unique_ptr<QuantizedMlp> q_decoder_;
   std::unique_ptr<QuantizedTransformerEncoder> q_encoder_;
 
-  // Forward caches for Backward.
-  int cached_seq_len_ = 0;
-  int cached_batch_size_ = 0;
-  Matrix cached_zx_;
+  // Training-step state: the shape and head of the last ForwardPass and the
+  // full-batch caches that live outside the layers.
+  int step_batch_ = 0;
+  int step_seq_len_ = 0;
+  Linear* step_head_ = nullptr;
+  Matrix feat_;    // [B * L, kFeatDim]: input projection input
+  Matrix packed_;  // [B, L * d_model]: head input
+  Matrix dev_;     // [B, kDeviceFeatDim]: device MLP input
+  Matrix z_;       // [B, z_dim + device_embed_dim]: decoder input
+  Matrix dz_;      // its gradient
 };
 
 }  // namespace cdmpp

@@ -44,14 +44,22 @@ std::vector<Batch> MakeBatches(const std::map<int, std::vector<int>>& buckets, i
 Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardScaler* scaler,
                           bool use_pe, double theta) {
   const int b = static_cast<int>(batch.sample_indices.size());
+  Matrix x(b * batch.seq_len, kFeatDim);
+  BuildFeatureRowsInto(ds, batch, 0, b, scaler, use_pe, theta, &x);
+  return x;
+}
+
+void BuildFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
+                          const StandardScaler* scaler, bool use_pe, double theta, Matrix* x) {
   const int l = batch.seq_len;
-  Matrix x(b * l, kFeatDim);
-  for (int i = 0; i < b; ++i) {
+  CDMPP_CHECK(x->rows() == static_cast<int>(batch.sample_indices.size()) * l &&
+              x->cols() == kFeatDim);
+  for (int i = s0; i < s1; ++i) {
     const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
     const CompactAst& ast = ds.programs[static_cast<size_t>(s.program_index)].ast;
     CDMPP_CHECK(ast.num_leaves == l);
     for (int t = 0; t < l; ++t) {
-      float* row = x.Row(i * l + t);
+      float* row = x->Row(i * l + t);
       const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
       for (int j = 0; j < kFeatDim; ++j) {
         row[j] = cv[static_cast<size_t>(j)];
@@ -67,20 +75,23 @@ Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardS
       }
     }
   }
-  return x;
 }
 
 Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch) {
   const int b = static_cast<int>(batch.sample_indices.size());
   Matrix out(b, kDeviceFeatDim);
-  for (int i = 0; i < b; ++i) {
-    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    std::vector<float> feats = ExtractDeviceFeatures(DeviceById(s.device_id));
-    for (int j = 0; j < kDeviceFeatDim; ++j) {
-      out.At(i, j) = feats[static_cast<size_t>(j)];
-    }
-  }
+  BuildDeviceFeatureRowsInto(ds, batch, 0, b, &out);
   return out;
+}
+
+void BuildDeviceFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
+                                Matrix* out) {
+  CDMPP_CHECK(out->rows() == static_cast<int>(batch.sample_indices.size()) &&
+              out->cols() == kDeviceFeatDim);
+  for (int i = s0; i < s1; ++i) {
+    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
+    ExtractDeviceFeaturesInto(DeviceById(s.device_id), out->Row(i));
+  }
 }
 
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices) {

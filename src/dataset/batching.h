@@ -37,6 +37,14 @@ Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardS
 // Builds the [B, kDeviceFeatDim] device feature matrix for a batch.
 Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch);
 
+// The rows of samples [s0, s1) of the two matrices above, written into
+// full-batch matrices the caller has already sized: the training step's
+// sharded forward fills each shard's rows concurrently, allocation-free.
+void BuildFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
+                          const StandardScaler* scaler, bool use_pe, double theta, Matrix* x);
+void BuildDeviceFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
+                                Matrix* out);
+
 // Stacks the raw (unscaled, no-PE) leaf rows of the given samples; used to
 // fit the feature scaler on training data.
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices);

@@ -10,34 +10,6 @@ namespace cdmpp {
 
 namespace {
 
-// Copies the [seq_len, d_head] block for (sample, head) out of a packed
-// [batch * seq_len, d_model] matrix into `out` (capacity-preserving resize:
-// the training loops reuse one hoisted block across every (sample, head)
-// instead of churning a heap temporary per iteration).
-void ExtractBlockInto(const Matrix& packed, int sample, int head, int seq_len, int d_head,
-                      Matrix* out) {
-  out->Resize(seq_len, d_head);
-  for (int t = 0; t < seq_len; ++t) {
-    const float* src = packed.Row(sample * seq_len + t) + head * d_head;
-    float* dst = out->Row(t);
-    for (int j = 0; j < d_head; ++j) {
-      dst[j] = src[j];
-    }
-  }
-}
-
-// Adds a [seq_len, d_head] block back into the packed layout.
-void AccumulateBlock(Matrix* packed, const Matrix& block, int sample, int head, int seq_len,
-                     int d_head) {
-  for (int t = 0; t < seq_len; ++t) {
-    float* dst = packed->Row(sample * seq_len + t) + head * d_head;
-    const float* src = block.Row(t);
-    for (int j = 0; j < d_head; ++j) {
-      dst[j] += src[j];
-    }
-  }
-}
-
 // The per-(sample, head) fp32 score/context loop shared verbatim by the fp32
 // and int8 attention forwards (only the Q/K/V/output *projections* differ
 // between the two tiers; the activation×activation GEMMs are identical).
@@ -107,47 +79,131 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads, Rng* 
   wo_ = std::make_unique<Linear>(d_model, d_model, rng);
 }
 
-Matrix MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len) {
-  CDMPP_CHECK(seq_len > 0);
-  CDMPP_CHECK(x.rows() % seq_len == 0);
-  CDMPP_CHECK(x.cols() == d_model_);
-  cached_seq_len_ = seq_len;
-  cached_batch_ = x.rows() / seq_len;
-
-  cached_q_ = wq_->Forward(x);
-  cached_k_ = wk_->Forward(x);
-  cached_v_ = wv_->Forward(x);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  Matrix context(x.rows(), d_model_);
+void MultiHeadSelfAttention::BeginStep(int rows, int seq_len) {
+  CDMPP_CHECK(seq_len > 0 && rows % seq_len == 0);
+  seq_len_ = seq_len;
+  wq_->BeginStep(rows);
+  wk_->BeginStep(rows);
+  wv_->BeginStep(rows);
+  wo_->BeginStep(rows);
+  SizeStepCache(&context_, rows, d_model_);
   // resize (not assign) keeps the per-(sample, head) attention matrices'
-  // capacity across steps; softmax weights are computed straight into them.
-  cached_attn_.resize(static_cast<size_t>(cached_batch_) * num_heads_);
-  Matrix q, k, v, out;  // hoisted block scratch, reused across the loop
-  for (int b = 0; b < cached_batch_; ++b) {
+  // capacity across steps.
+  attn_.resize(static_cast<size_t>(rows / seq_len) * num_heads_);
+  for (Matrix& a : attn_) {
+    a.Resize(seq_len, seq_len);
+  }
+}
+
+Matrix& MultiHeadSelfAttention::ForwardRows(const Matrix& x, int r0, int r1,
+                                            Workspace* scratch) {
+  const int l = seq_len_;
+  CDMPP_CHECK(r0 % l == 0 && r1 % l == 0 && x.cols() == d_model_);
+  const Matrix& q = wq_->ForwardRows(x, r0, r1);
+  const Matrix& k = wk_->ForwardRows(x, r0, r1);
+  const Matrix& v = wv_->ForwardRows(x, r0, r1);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
+  Matrix* q_scaled = scratch->NewMatrix(l, d_head_);
+  for (int b = r0 / l; b < r1 / l; ++b) {
     for (int h = 0; h < num_heads_; ++h) {
-      ExtractBlockInto(cached_q_, b, h, seq_len, d_head_, &q);
-      // The 1/sqrt(d_head) softmax scale is folded into the Q operand — one
-      // pass over a [L, d_head] block instead of a [L, L] scores pass. The
-      // inference path pins the identical formulation, so Forward and
-      // ForwardInference stay bitwise equal. cached_q_ stays unscaled;
-      // Backward's dscores.Scale(scale) already accounts for the factor on
-      // both the dq and dk sides.
-      q.Scale(scale);
-      ExtractBlockInto(cached_k_, b, h, seq_len, d_head_, &k);
-      ExtractBlockInto(cached_v_, b, h, seq_len, d_head_, &v);
-      Matrix& attn = cached_attn_[static_cast<size_t>(b) * num_heads_ + h];
-      attn.Resize(seq_len, seq_len);
-      kernels::GemmNT(seq_len, seq_len, d_head_, q.data(), d_head_, k.data(), d_head_,
-                      /*beta=*/0.0f, attn.data(), seq_len);
+      // The 1/sqrt(d_head) softmax scale is folded into a scaled copy of the
+      // Q block — one pass over [L, d_head] instead of a [L, L] scores pass,
+      // the formulation the inference path pins too, so the two stay bitwise
+      // equal. Q itself stays unscaled: the backward's dscores scale carries
+      // the factor to both dq and dk. K and V are read in place.
+      for (int t = 0; t < l; ++t) {
+        const float* src = q.Row(b * l + t) + h * d_head_;
+        float* dst = q_scaled->Row(t);
+        for (int j = 0; j < d_head_; ++j) {
+          dst[j] = src[j] * scale;
+        }
+      }
+      Matrix& attn = attn_[static_cast<size_t>(b) * num_heads_ + h];
+      kernels::GemmNT(l, l, d_head_, q_scaled->data(), d_head_, k.Row(b * l) + h * d_head_,
+                      d_model_, /*beta=*/0.0f, attn.data(), l);
       SoftmaxRows(&attn);
-      out.Resize(seq_len, d_head_);
-      kernels::GemmNN(seq_len, d_head_, seq_len, attn.data(), seq_len, v.data(), d_head_,
-                      /*beta=*/0.0f, out.data(), d_head_);
-      AccumulateBlock(&context, out, b, h, seq_len, d_head_);
+      kernels::GemmNN(l, d_head_, l, attn.data(), l, v.Row(b * l) + h * d_head_, d_model_,
+                      /*beta=*/0.0f, context_.Row(b * l) + h * d_head_, d_model_);
     }
   }
-  return wo_->Forward(context);
+  return wo_->ForwardRows(context_, r0, r1);
+}
+
+void MultiHeadSelfAttention::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
+  const int l = seq_len_;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
+  // dcontext is consumed inside this shard, so it lives in shard scratch.
+  Matrix* dcontext = scratch->NewMatrix(r1 - r0, d_model_);
+  wo_->InputGradRows(r0, r1, dcontext->data(), d_model_);
+  Matrix* dscores = scratch->NewMatrix(l, l);
+  const Matrix& q = wq_->output();
+  const Matrix& k = wk_->output();
+  const Matrix& v = wv_->output();
+  Matrix& dq = wq_->output_grad();
+  Matrix& dk = wk_->output_grad();
+  Matrix& dv = wv_->output_grad();
+  for (int b = r0 / l; b < r1 / l; ++b) {
+    for (int h = 0; h < num_heads_; ++h) {
+      const Matrix& attn = attn_[static_cast<size_t>(b) * num_heads_ + h];
+      const int row = b * l;
+      const int col = h * d_head_;
+      const float* dout = dcontext->Row(row - r0) + col;
+      // out = attn x v: dattn = dout·vᵀ (into dscores), dv = attnᵀ·dout.
+      kernels::GemmNT(l, l, d_head_, dout, d_model_, v.Row(row) + col, d_model_,
+                      /*beta=*/0.0f, dscores->data(), l);
+      kernels::GemmTN(l, d_head_, l, attn.data(), l, dout, d_model_, /*beta=*/0.0f,
+                      dv.Row(row) + col, d_model_);
+      // Softmax backward in place: ds = attn * (dattn - rowsum(dattn * attn)),
+      // times the folded softmax scale.
+      for (int i = 0; i < l; ++i) {
+        float* ds = dscores->Row(i);
+        const float* a = attn.Row(i);
+        float dot = 0.0f;
+        for (int j = 0; j < l; ++j) {
+          dot += ds[j] * a[j];
+        }
+        for (int j = 0; j < l; ++j) {
+          ds[j] = a[j] * (ds[j] - dot) * scale;
+        }
+      }
+      // scores = (q * scale) x kᵀ.
+      kernels::GemmNN(l, d_head_, l, dscores->data(), l, k.Row(row) + col, d_model_,
+                      /*beta=*/0.0f, dq.Row(row) + col, d_model_);
+      kernels::GemmTN(l, d_head_, l, dscores->data(), l, q.Row(row) + col, d_model_,
+                      /*beta=*/0.0f, dk.Row(row) + col, d_model_);
+    }
+  }
+  wq_->InputGradRows(r0, r1, dx->Row(r0), dx->cols());
+  wk_->InputGradRows(r0, r1, dx->Row(r0), dx->cols(), /*accumulate=*/true);
+  wv_->InputGradRows(r0, r1, dx->Row(r0), dx->cols(), /*accumulate=*/true);
+}
+
+void MultiHeadSelfAttention::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
+  wq_->AppendGradTasks(x, tasks);
+  wk_->AppendGradTasks(x, tasks);
+  wv_->AppendGradTasks(x, tasks);
+  wo_->AppendGradTasks(context_, tasks);
+}
+
+Matrix MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len) {
+  input_ = x;
+  BeginStep(x.rows(), seq_len);
+  Workspace scratch;
+  return ForwardRows(input_, 0, x.rows(), &scratch);
+}
+
+Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
+  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == d_model_);
+  output_grad() = dy;
+  Workspace scratch;
+  Matrix dx(dy.rows(), d_model_);
+  InputGradRows(0, dy.rows(), &scratch, &dx);
+  std::vector<GradTask> tasks;
+  AppendGradTasks(input_, &tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 Matrix MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len) const {
@@ -260,68 +316,6 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
   Matrix* context =
       AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_, ws);
   return wo_.ForwardInference(*context, ws);
-}
-
-Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
-  const int seq_len = cached_seq_len_;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-
-  Matrix dcontext = wo_->Backward(dy);
-  Matrix dq(dy.rows(), d_model_);
-  Matrix dk(dy.rows(), d_model_);
-  Matrix dv(dy.rows(), d_model_);
-
-  // Hoisted block scratch, reused across every (sample, head).
-  Matrix q, k, v, dout;
-  Matrix dattn, dv_block, dscores, dq_block, dk_block;
-  for (int b = 0; b < cached_batch_; ++b) {
-    for (int h = 0; h < num_heads_; ++h) {
-      const Matrix& attn = cached_attn_[static_cast<size_t>(b) * num_heads_ + h];
-      ExtractBlockInto(cached_q_, b, h, seq_len, d_head_, &q);
-      ExtractBlockInto(cached_k_, b, h, seq_len, d_head_, &k);
-      ExtractBlockInto(cached_v_, b, h, seq_len, d_head_, &v);
-      ExtractBlockInto(dcontext, b, h, seq_len, d_head_, &dout);
-
-      // out = attn x v.
-      dattn.Resize(seq_len, seq_len);
-      kernels::GemmNT(seq_len, seq_len, d_head_, dout.data(), d_head_, v.data(), d_head_,
-                      /*beta=*/0.0f, dattn.data(), seq_len);
-      dv_block.Resize(seq_len, d_head_);
-      kernels::GemmTN(seq_len, d_head_, seq_len, attn.data(), seq_len, dout.data(), d_head_,
-                      /*beta=*/0.0f, dv_block.data(), d_head_);
-
-      // Softmax backward: ds = attn * (dattn - rowsum(dattn * attn)).
-      dscores.Resize(seq_len, seq_len);
-      for (int i = 0; i < seq_len; ++i) {
-        float dot = 0.0f;
-        for (int j = 0; j < seq_len; ++j) {
-          dot += dattn.At(i, j) * attn.At(i, j);
-        }
-        for (int j = 0; j < seq_len; ++j) {
-          dscores.At(i, j) = attn.At(i, j) * (dattn.At(i, j) - dot);
-        }
-      }
-      dscores.Scale(scale);
-
-      // scores = (q * scale) x k^T; cached_q_ is unscaled, the Scale above
-      // carries the factor to both dq and dk.
-      dq_block.Resize(seq_len, d_head_);
-      kernels::GemmNN(seq_len, d_head_, seq_len, dscores.data(), seq_len, k.data(), d_head_,
-                      /*beta=*/0.0f, dq_block.data(), d_head_);
-      dk_block.Resize(seq_len, d_head_);
-      kernels::GemmTN(seq_len, d_head_, seq_len, dscores.data(), seq_len, q.data(), d_head_,
-                      /*beta=*/0.0f, dk_block.data(), d_head_);
-
-      AccumulateBlock(&dq, dq_block, b, h, seq_len, d_head_);
-      AccumulateBlock(&dk, dk_block, b, h, seq_len, d_head_);
-      AccumulateBlock(&dv, dv_block, b, h, seq_len, d_head_);
-    }
-  }
-
-  Matrix dx = wq_->Backward(dq);
-  dx.AddInPlace(wk_->Backward(dk));
-  dx.AddInPlace(wv_->Backward(dv));
-  return dx;
 }
 
 void MultiHeadSelfAttention::CollectParams(std::vector<Param*>* out) {

@@ -19,8 +19,18 @@ class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int d_model, int num_heads, Rng* rng);
 
+  // Training row primitives (see src/nn/layers.h). Row ranges cover whole
+  // samples (multiples of seq_len); `scratch` backs the per-(sample, head)
+  // blocks and must be private to the calling shard.
+  void BeginStep(int rows, int seq_len);
+  Matrix& ForwardRows(const Matrix& x, int r0, int r1, Workspace* scratch);
+  Matrix& output_grad() { return wo_->output_grad(); }
+  void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
+  void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
+
   // x: [batch * seq_len, d_model]. Returns the same shape.
   Matrix Forward(const Matrix& x, int seq_len);
+  Matrix Backward(const Matrix& dy);
   // Cache-free const forward (see src/nn/layers.h); attention weights are
   // computed into locals and discarded.
   Matrix ForwardInference(const Matrix& x, int seq_len) const;
@@ -32,7 +42,6 @@ class MultiHeadSelfAttention : public Module {
   // identical for every CDMPP_NUM_THREADS value. Layer-owned scratch comes
   // from `ws`, which stays single-owner.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }
@@ -52,11 +61,11 @@ class MultiHeadSelfAttention : public Module {
   int d_head_;
   std::unique_ptr<Linear> wq_, wk_, wv_, wo_;
 
-  // Forward caches.
-  int cached_seq_len_ = 0;
-  int cached_batch_ = 0;
-  Matrix cached_q_, cached_k_, cached_v_;
-  std::vector<Matrix> cached_attn_;  // per (sample, head): [L, L] softmax weights
+  // Training caches (Q, K, V are the projections' outputs).
+  int seq_len_ = 0;
+  Matrix context_;
+  std::vector<Matrix> attn_;  // per (sample, head): [L, L] softmax weights
+  Matrix input_;              // the Forward/Backward wrappers' copy of x
 };
 
 // The int8 mirror of MultiHeadSelfAttention for the serving hot path

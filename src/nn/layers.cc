@@ -8,6 +8,68 @@
 
 namespace cdmpp {
 
+// ---------------- GradTask ----------------
+
+namespace {
+
+// Column sums of dy's rows, added to grad: the ColumnSum-then-add a bias
+// gradient has always used, per element 0 + dy[0][j] + dy[1][j] + ... in row
+// order, then one add into grad. Columns go in blocks of kBlock stack
+// accumulators so the row loop streams and vectorizes without a heap
+// temporary.
+void AddColumnSums(const Matrix& dy, Matrix* grad) {
+  constexpr int kBlock = 32;
+  for (int j0 = 0; j0 < dy.cols(); j0 += kBlock) {
+    const int nb = std::min(kBlock, dy.cols() - j0);
+    float acc[kBlock] = {};
+    for (int i = 0; i < dy.rows(); ++i) {
+      const float* row = dy.Row(i) + j0;
+      for (int j = 0; j < nb; ++j) {
+        acc[j] += row[j];
+      }
+    }
+    float* g = grad->Row(0) + j0;
+    for (int j = 0; j < nb; ++j) {
+      g[j] += acc[j];
+    }
+  }
+}
+
+}  // namespace
+
+void RunGradTask(const GradTask& task) {
+  const Matrix& dy = *task.dy;
+  Matrix& grad = *task.grad;
+  switch (task.kind) {
+    case GradTask::Kind::kWeight:
+      CDMPP_CHECK(task.x->rows() == dy.rows());
+      kernels::GemmTN(grad.rows(), grad.cols(), dy.rows(), task.x->data(), task.x->cols(),
+                      dy.data(), dy.cols(), /*beta=*/1.0f, grad.data(), grad.cols());
+      return;
+    case GradTask::Kind::kBias:
+      AddColumnSums(dy, &grad);
+      return;
+    case GradTask::Kind::kGamma:
+    case GradTask::Kind::kBeta: {
+      float* g = grad.Row(0);
+      for (int i = 0; i < dy.rows(); ++i) {
+        const float* dyrow = dy.Row(i);
+        if (task.kind == GradTask::Kind::kGamma) {
+          const float* xrow = task.x->Row(i);
+          for (int j = 0; j < dy.cols(); ++j) {
+            g[j] += dyrow[j] * xrow[j];
+          }
+        } else {
+          for (int j = 0; j < dy.cols(); ++j) {
+            g[j] += dyrow[j];
+          }
+        }
+      }
+      return;
+    }
+  }
+}
+
 // ---------------- Linear ----------------
 
 Linear::Linear(int in_dim, int out_dim, Rng* rng) {
@@ -21,11 +83,48 @@ void Linear::ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) co
                        w_.value.cols(), b_.value.data(), act, y->data(), y->cols());
 }
 
+void Linear::BeginStep(int rows) {
+  SizeStepCache(&y_, rows, out_dim());
+  SizeStepCache(&dy_, rows, out_dim());
+}
+
+Matrix& Linear::ForwardRows(const Matrix& x, int r0, int r1) {
+  // ApplyLinear's fused kernel call over rows [r0, r1) only: the kernels are
+  // batch-size-invariant per row, so a shard's rows match the whole batch's.
+  CDMPP_CHECK(x.cols() == in_dim());
+  kernels::GemmBiasAct(r1 - r0, out_dim(), in_dim(), x.Row(r0), x.cols(), w_.value.data(),
+                       w_.value.cols(), b_.value.data(), kernels::Activation::kNone, y_.Row(r0),
+                       y_.cols());
+  return y_;
+}
+
+void Linear::InputGradRows(int r0, int r1, float* dx, int ldx, bool accumulate) const {
+  kernels::GemmNT(r1 - r0, in_dim(), out_dim(), dy_.Row(r0), dy_.cols(), w_.value.data(),
+                  w_.value.cols(), accumulate ? 1.0f : 0.0f, dx, ldx);
+}
+
+void Linear::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
+  tasks->push_back({GradTask::Kind::kWeight, &x, &dy_, &w_.grad});
+  tasks->push_back({GradTask::Kind::kBias, nullptr, &dy_, &b_.grad});
+}
+
 Matrix Linear::Forward(const Matrix& x) {
-  cached_x_ = x;
-  Matrix y(x.rows(), w_.value.cols());
-  ApplyLinear(x, kernels::Activation::kNone, &y);
-  return y;
+  input_ = x;
+  BeginStep(x.rows());
+  return ForwardRows(input_, 0, x.rows());
+}
+
+Matrix Linear::Backward(const Matrix& dy) {
+  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == out_dim());
+  dy_ = dy;
+  Matrix dx(dy.rows(), in_dim());
+  InputGradRows(0, dy.rows(), dx.data(), dx.cols());
+  std::vector<GradTask> tasks;
+  AppendGradTasks(input_, &tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 Matrix Linear::ForwardInference(const Matrix& x) const {
@@ -40,16 +139,6 @@ Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws,
   return y;
 }
 
-Matrix Linear::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == cached_x_.rows() && dy.cols() == w_.value.cols());
-  // w_.grad += xᵀ·dy as a single beta=1 accumulate — no gradient temporary.
-  kernels::GemmTN(w_.grad.rows(), w_.grad.cols(), dy.rows(), cached_x_.data(),
-                  cached_x_.cols(), dy.data(), dy.cols(), /*beta=*/1.0f, w_.grad.data(),
-                  w_.grad.cols());
-  b_.grad.AddInPlace(ColumnSum(dy));
-  return MatMulTransB(dy, w_.value);
-}
-
 void Linear::CollectParams(std::vector<Param*>* out) {
   out->push_back(&w_);
   out->push_back(&b_);
@@ -57,9 +146,27 @@ void Linear::CollectParams(std::vector<Param*>* out) {
 
 // ---------------- Relu ----------------
 
-Matrix Relu::Forward(const Matrix& x) {
-  cached_x_ = x;
-  return ForwardInference(x);
+const Matrix& Relu::ForwardRows(const Matrix& x, int r0, int r1) {
+  for (int i = r0; i < r1; ++i) {
+    const float* src = x.Row(i);
+    float* dst = y_.Row(i);
+    for (int j = 0; j < x.cols(); ++j) {
+      dst[j] = std::max(0.0f, src[j]);
+    }
+  }
+  return y_;
+}
+
+void Relu::BackwardRows(const Matrix& x, int r0, int r1, Matrix* d) {
+  for (int i = r0; i < r1; ++i) {
+    float* drow = d->Row(i);
+    const float* xrow = x.Row(i);
+    for (int j = 0; j < d->cols(); ++j) {
+      if (xrow[j] <= 0.0f) {
+        drow[j] = 0.0f;
+      }
+    }
+  }
 }
 
 Matrix Relu::ForwardInference(const Matrix& x) const {
@@ -90,21 +197,6 @@ Matrix* Relu::ForwardInference(const Matrix& x, Workspace* ws) const {
   return y;
 }
 
-Matrix Relu::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == cached_x_.rows() && dy.cols() == cached_x_.cols());
-  Matrix dx = dy;
-  for (int i = 0; i < dx.rows(); ++i) {
-    float* drow = dx.Row(i);
-    const float* xrow = cached_x_.Row(i);
-    for (int j = 0; j < dx.cols(); ++j) {
-      if (xrow[j] <= 0.0f) {
-        drow[j] = 0.0f;
-      }
-    }
-  }
-  return dx;
-}
-
 // ---------------- LayerNorm ----------------
 
 LayerNorm::LayerNorm(int dim) {
@@ -115,13 +207,17 @@ LayerNorm::LayerNorm(int dim) {
   beta_.InitZero(1, dim);
 }
 
-Matrix LayerNorm::Forward(const Matrix& x) {
-  const int n = x.rows();
+void LayerNorm::BeginStep(int rows) {
+  const int d = gamma_.value.cols();
+  SizeStepCache(&norm_, rows, d);
+  inv_std_.resize(static_cast<size_t>(rows));
+  SizeStepCache(&y_, rows, d);
+  SizeStepCache(&dy_, rows, d);
+}
+
+const Matrix& LayerNorm::ForwardRows(const Matrix& x, int r0, int r1) {
   const int d = x.cols();
-  cached_norm_ = Matrix(n, d);
-  cached_inv_std_.assign(static_cast<size_t>(n), 0.0f);
-  Matrix y(n, d);
-  for (int i = 0; i < n; ++i) {
+  for (int i = r0; i < r1; ++i) {
     const float* row = x.Row(i);
     float mean = 0.0f;
     for (int j = 0; j < d; ++j) {
@@ -134,15 +230,62 @@ Matrix LayerNorm::Forward(const Matrix& x) {
     }
     var /= static_cast<float>(d);
     float inv_std = 1.0f / std::sqrt(var + kEps);
-    cached_inv_std_[static_cast<size_t>(i)] = inv_std;
-    float* nrow = cached_norm_.Row(i);
-    float* yrow = y.Row(i);
+    inv_std_[static_cast<size_t>(i)] = inv_std;
+    float* nrow = norm_.Row(i);
+    float* yrow = y_.Row(i);
     for (int j = 0; j < d; ++j) {
       nrow[j] = (row[j] - mean) * inv_std;
       yrow[j] = nrow[j] * gamma_.value.At(0, j) + beta_.value.At(0, j);
     }
   }
-  return y;
+  return y_;
+}
+
+void LayerNorm::InputGradRows(int r0, int r1, Matrix* dx) const {
+  const int d = dy_.cols();
+  for (int i = r0; i < r1; ++i) {
+    const float* dyrow = dy_.Row(i);
+    const float* nrow = norm_.Row(i);
+    float inv_std = inv_std_[static_cast<size_t>(i)];
+    // dnorm = dy * gamma; dx = inv_std * (dnorm - mean(dnorm) - norm * mean(dnorm*norm)).
+    float mean_dn = 0.0f;
+    float mean_dn_n = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      float dn = dyrow[j] * gamma_.value.At(0, j);
+      mean_dn += dn;
+      mean_dn_n += dn * nrow[j];
+    }
+    mean_dn /= static_cast<float>(d);
+    mean_dn_n /= static_cast<float>(d);
+    float* dxrow = dx->Row(i);
+    for (int j = 0; j < d; ++j) {
+      float dn = dyrow[j] * gamma_.value.At(0, j);
+      dxrow[j] = inv_std * (dn - mean_dn - nrow[j] * mean_dn_n);
+    }
+  }
+}
+
+void LayerNorm::AppendGradTasks(std::vector<GradTask>* tasks) {
+  tasks->push_back({GradTask::Kind::kGamma, &norm_, &dy_, &gamma_.grad});
+  tasks->push_back({GradTask::Kind::kBeta, nullptr, &dy_, &beta_.grad});
+}
+
+Matrix LayerNorm::Forward(const Matrix& x) {
+  BeginStep(x.rows());
+  return ForwardRows(x, 0, x.rows());
+}
+
+Matrix LayerNorm::Backward(const Matrix& dy) {
+  CDMPP_CHECK(dy.rows() == norm_.rows() && dy.cols() == norm_.cols());
+  dy_ = dy;
+  Matrix dx(dy.rows(), dy.cols());
+  InputGradRows(0, dy.rows(), &dx);
+  std::vector<GradTask> tasks;
+  AppendGradTasks(&tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 namespace {
@@ -200,36 +343,6 @@ Matrix* LayerNorm::ForwardInference(const Matrix& x, Workspace* ws) const {
   return y;
 }
 
-Matrix LayerNorm::Backward(const Matrix& dy) {
-  const int n = dy.rows();
-  const int d = dy.cols();
-  CDMPP_CHECK(n == cached_norm_.rows() && d == cached_norm_.cols());
-  Matrix dx(n, d);
-  for (int i = 0; i < n; ++i) {
-    const float* dyrow = dy.Row(i);
-    const float* nrow = cached_norm_.Row(i);
-    float inv_std = cached_inv_std_[static_cast<size_t>(i)];
-    // dnorm = dy * gamma; dx = inv_std * (dnorm - mean(dnorm) - norm * mean(dnorm*norm)).
-    float mean_dn = 0.0f;
-    float mean_dn_n = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      float dn = dyrow[j] * gamma_.value.At(0, j);
-      mean_dn += dn;
-      mean_dn_n += dn * nrow[j];
-      gamma_.grad.At(0, j) += dyrow[j] * nrow[j];
-      beta_.grad.At(0, j) += dyrow[j];
-    }
-    mean_dn /= static_cast<float>(d);
-    mean_dn_n /= static_cast<float>(d);
-    float* dxrow = dx.Row(i);
-    for (int j = 0; j < d; ++j) {
-      float dn = dyrow[j] * gamma_.value.At(0, j);
-      dxrow[j] = inv_std * (dn - mean_dn - nrow[j] * mean_dn_n);
-    }
-  }
-  return dx;
-}
-
 void LayerNorm::CollectParams(std::vector<Param*>* out) {
   out->push_back(&gamma_);
   out->push_back(&beta_);
@@ -245,15 +358,65 @@ Mlp::Mlp(const std::vector<int>& dims, Rng* rng) {
   relus_.resize(linears_.size() - 1);
 }
 
-Matrix Mlp::Forward(const Matrix& x) {
-  Matrix h = x;
+void Mlp::BeginStep(int rows) {
   for (size_t i = 0; i < linears_.size(); ++i) {
-    h = linears_[i]->Forward(h);
+    linears_[i]->BeginStep(rows);
     if (i + 1 < linears_.size()) {
-      h = relus_[i].Forward(h);
+      relus_[i].BeginStep(rows, linears_[i]->out_dim());
     }
   }
-  return h;
+}
+
+const Matrix& Mlp::ForwardRows(const Matrix& x, int r0, int r1) {
+  const Matrix* h = &x;
+  for (size_t i = 0; i < linears_.size(); ++i) {
+    h = &linears_[i]->ForwardRows(*h, r0, r1);
+    if (i + 1 < linears_.size()) {
+      h = &relus_[i].ForwardRows(*h, r0, r1);
+    }
+  }
+  return *h;
+}
+
+void Mlp::BackpropRows(int r0, int r1) {
+  for (size_t i = linears_.size() - 1; i > 0; --i) {
+    Linear& below = *linears_[i - 1];
+    Matrix& d = below.output_grad();
+    linears_[i]->InputGradRows(r0, r1, d.Row(r0), d.cols());
+    Relu::BackwardRows(below.output(), r0, r1, &d);
+  }
+}
+
+void Mlp::InputGradRows(int r0, int r1, float* dx, int ldx) const {
+  linears_[0]->InputGradRows(r0, r1, dx, ldx);
+}
+
+void Mlp::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
+  linears_[0]->AppendGradTasks(x, tasks);
+  for (size_t i = 1; i < linears_.size(); ++i) {
+    linears_[i]->AppendGradTasks(relus_[i - 1].output(), tasks);
+  }
+}
+
+Matrix Mlp::Forward(const Matrix& x) {
+  input_ = x;
+  BeginStep(x.rows());
+  return ForwardRows(input_, 0, x.rows());
+}
+
+Matrix Mlp::Backward(const Matrix& dy) {
+  const int rows = input_.rows();
+  CDMPP_CHECK(dy.rows() == rows && dy.cols() == output_grad().cols());
+  output_grad() = dy;
+  BackpropRows(0, rows);
+  Matrix dx(rows, input_.cols());
+  InputGradRows(0, rows, dx.data(), dx.cols());
+  std::vector<GradTask> tasks;
+  AppendGradTasks(input_, &tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 Matrix Mlp::ForwardInference(const Matrix& x) const {
@@ -271,17 +434,6 @@ Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws) const {
     h = out;
   }
   return out;
-}
-
-Matrix Mlp::Backward(const Matrix& dy) {
-  Matrix d = dy;
-  for (size_t i = linears_.size(); i-- > 0;) {
-    if (i + 1 < linears_.size()) {
-      d = relus_[i].Backward(d);
-    }
-    d = linears_[i]->Backward(d);
-  }
-  return d;
 }
 
 void Mlp::CollectParams(std::vector<Param*>* out) {

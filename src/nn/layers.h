@@ -1,8 +1,31 @@
 // Basic trainable layers with manual forward/backward passes.
 //
-// Convention: Forward caches whatever the matching Backward needs; Backward
-// takes dLoss/dOutput, *accumulates* parameter gradients, and returns
-// dLoss/dInput. Call ZeroGrad between steps.
+// Training convention. CdmppPredictor::RunTraining runs each step in a few
+// parallel regions over contiguous row shards (README "Training step")
+// instead of forking per op, so every trainable layer exposes its forward and
+// backward as row primitives over full-batch caches:
+//   BeginStep(rows)            serial: sizes the caches for a `rows`-row batch
+//                              (capacity-preserving: no heap traffic once
+//                              warm). BeginStep(0) frees them instead, so a
+//                              model holds only parameters between training
+//                              calls.
+//   ForwardRows(x, r0, r1)     output rows [r0, r1) from input rows [r0, r1).
+//                              Writes only those rows of the caches, so
+//                              disjoint shards run concurrently.
+//   output_grad()              the dLoss/dOutput buffer; whoever consumes the
+//                              output writes its rows there.
+//   InputGradRows(r0, r1, ..)  dLoss/dInput rows from output_grad() rows.
+//                              Skipped where nobody reads the input gradient.
+//   AppendGradTasks(x, tasks)  one GradTask per parameter tensor, run after
+//                              the backward region over the full batch.
+// `x` is the input matrix the forward saw; layers keep no pointer to it. Every
+// op on the row path is local to a row or a sample, and every cross-row
+// reduction (dW = xᵀ·dy, bias/gamma/beta column sums) runs once over the
+// whole batch in row order, so results do not depend on the sharding.
+//
+// Forward(x) / Backward(dy) are whole-batch wrappers over the row primitives
+// (one implementation): Forward keeps a copy of x, Backward accumulates
+// parameter gradients and returns dLoss/dInput. Call ZeroGrad between steps.
 //
 // Every layer also exposes ForwardInference: a const forward pass that writes
 // no caches and touches no mutable state, computing bitwise-identical outputs
@@ -74,19 +97,60 @@ class Module {
   }
 };
 
+// One parameter tensor's share of a training step's parameter-gradient
+// region: grad accumulates over the full batch, rows in ascending order,
+// through the same kernel call or loop a whole-batch backward runs. Tasks
+// own disjoint tensors, so a region runs them concurrently in any order.
+struct GradTask {
+  enum class Kind {
+    kWeight,  // grad += xᵀ·dy: one GemmTN, beta = 1
+    kBias,    // grad += column sums of dy
+    kGamma,   // grad[j] += dy[i][j] * x[i][j], row by row (x: normalized rows)
+    kBeta,    // grad[j] += dy[i][j], row by row
+  };
+  Kind kind;
+  const Matrix* x;  // unused by kBias and kBeta
+  const Matrix* dy;
+  Matrix* grad;
+};
+void RunGradTask(const GradTask& task);
+
+// How BeginStep sizes one cache: a capacity-preserving Resize, or a release
+// for rows == 0.
+inline void SizeStepCache(Matrix* cache, int rows, int cols) {
+  if (rows == 0) {
+    *cache = Matrix();
+  } else {
+    cache->Resize(rows, cols);
+  }
+}
+
 // y = x W + b, x: [N, in], W: [in, out].
 class Linear : public Module {
  public:
   Linear(int in_dim, int out_dim, Rng* rng);
 
+  // Training row primitives (see the top of this file). ForwardRows returns
+  // the full-batch output, which the Linear's own backward never reads:
+  // a caller whose consumers are done with it may update its rows in place
+  // (the encoder's residual adds).
+  void BeginStep(int rows);
+  Matrix& ForwardRows(const Matrix& x, int r0, int r1);
+  const Matrix& output() const { return y_; }
+  Matrix& output_grad() { return dy_; }
+  // Rows [r0, r1) of dLoss/dx = dy·Wᵀ, written to dx (row stride ldx; dx
+  // addresses row r0), or added to it with `accumulate`.
+  void InputGradRows(int r0, int r1, float* dx, int ldx, bool accumulate = false) const;
+  void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
+
   Matrix Forward(const Matrix& x);
+  Matrix Backward(const Matrix& dy);
   Matrix ForwardInference(const Matrix& x) const;
   // Hot path: y = act(x W + b) in one fused kernel pass (the epilogue runs
   // while the accumulator tile is still in registers). kNone reproduces the
   // plain layer; kRelu folds a following Relu away.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws,
                            kernels::Activation act = kernels::Activation::kNone) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int in_dim() const { return w_.value.rows(); }
@@ -98,28 +162,34 @@ class Linear : public Module {
   const Matrix& bias() const { return b_.value; }
 
  private:
-  // The one fused-kernel invocation all three forward entry points share:
+  // The one fused-kernel invocation both inference entry points share:
   // y = act(x W + b) written into the caller-sized output.
   void ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) const;
 
   Param w_;
   Param b_;
-  Matrix cached_x_;
+  Matrix y_;
+  Matrix dy_;
+  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // Elementwise max(0, x).
 class Relu : public Module {
  public:
-  Matrix Forward(const Matrix& x);
+  void BeginStep(int rows, int cols) { SizeStepCache(&y_, rows, cols); }
+  const Matrix& ForwardRows(const Matrix& x, int r0, int r1);
+  const Matrix& output() const { return y_; }
+  // Backward for rows [r0, r1): zeroes d in place where the forward input x
+  // was <= 0.
+  static void BackwardRows(const Matrix& x, int r0, int r1, Matrix* d);
   Matrix ForwardInference(const Matrix& x) const;
   // Hot path; large panels split elementwise across cores (bitwise identical
   // for every thread count — the clamp is elementwise with disjoint writes).
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>*) override {}
 
  private:
-  Matrix cached_x_;
+  Matrix y_;
 };
 
 // Per-row layer normalization with learnable gamma/beta.
@@ -127,11 +197,19 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
 
+  // Training row primitives (see the top of this file).
+  void BeginStep(int rows);
+  const Matrix& ForwardRows(const Matrix& x, int r0, int r1);
+  const Matrix& output() const { return y_; }
+  Matrix& output_grad() { return dy_; }
+  void InputGradRows(int r0, int r1, Matrix* dx) const;
+  void AppendGradTasks(std::vector<GradTask>* tasks);
+
   Matrix Forward(const Matrix& x);
+  Matrix Backward(const Matrix& dy);
   Matrix ForwardInference(const Matrix& x) const;
   // Hot path; rows are split across cores via ParallelFor for large batches.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only parameter views: the int8 calibration path derives data-free
@@ -144,8 +222,10 @@ class LayerNorm : public Module {
   static constexpr float kEps = 1e-5f;
   Param gamma_;
   Param beta_;
-  Matrix cached_norm_;     // normalized activations (pre gamma/beta)
-  std::vector<float> cached_inv_std_;
+  Matrix norm_;  // normalized activations (pre gamma/beta)
+  std::vector<float> inv_std_;
+  Matrix y_;
+  Matrix dy_;
 };
 
 // Multi-layer perceptron: Linear -> ReLU repeated, final Linear (no ReLU).
@@ -154,11 +234,23 @@ class Mlp : public Module {
   // dims = {in, h1, ..., out}. Requires at least {in, out}.
   Mlp(const std::vector<int>& dims, Rng* rng);
 
+  // Training row primitives (see the top of this file). BackpropRows carries
+  // output_grad() rows down to the first layer's output gradient: everything
+  // the parameter-gradient tasks read. InputGradRows then computes the first
+  // layer's input gradient for callers that need it.
+  void BeginStep(int rows);
+  const Matrix& ForwardRows(const Matrix& x, int r0, int r1);
+  const Matrix& output() const { return linears_.back()->output(); }
+  Matrix& output_grad() { return linears_.back()->output_grad(); }
+  void BackpropRows(int r0, int r1);
+  void InputGradRows(int r0, int r1, float* dx, int ldx) const;
+  void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
+
   Matrix Forward(const Matrix& x);
+  Matrix Backward(const Matrix& dy);
   Matrix ForwardInference(const Matrix& x) const;
   // Hot path: each hidden Linear+ReLU pair runs as one fused kernel call.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only layer views for the int8 calibration path.
@@ -168,6 +260,7 @@ class Mlp : public Module {
  private:
   std::vector<std::unique_ptr<Linear>> linears_;
   std::vector<Relu> relus_;
+  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // One LSTM step (used by the Tiramisu-style recursive baseline).

@@ -1,6 +1,9 @@
 #include "src/nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
@@ -33,32 +36,70 @@ Adam::Adam(std::vector<Param*> params, double lr, double weight_decay, double be
       beta2_(beta2),
       eps_(eps) {
   lr_ = lr;
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
+  offsets_.reserve(params_.size() + 1);
+  offsets_.push_back(0);
   for (Param* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
+    offsets_.push_back(offsets_.back() + p->value.size());
+  }
+  m_.assign(offsets_.back(), 0.0f);
+  v_.assign(offsets_.back(), 0.0f);
+}
+
+namespace {
+
+struct AdamCoeffs {
+  double lr, weight_decay, beta1, beta2, eps, bias1, bias2;
+};
+
+// The per-element AdamW update (decoupled weight decay) over n contiguous
+// elements. Straight-line double arithmetic with no calls: this TU builds
+// with -fno-math-errno, so std::sqrt needs no errno branch and the loop
+// vectorizes; sqrt is correctly rounded either way, so the values do not
+// change.
+void AdamUpdate(size_t n, float* __restrict value, const float* __restrict grad,
+                float* __restrict m, float* __restrict v, const AdamCoeffs& c) {
+  for (size_t j = 0; j < n; ++j) {
+    float g = grad[j];
+    m[j] = static_cast<float>(c.beta1 * m[j] + (1.0 - c.beta1) * g);
+    v[j] = static_cast<float>(c.beta2 * v[j] + (1.0 - c.beta2) * g * g);
+    double m_hat = m[j] / c.bias1;
+    double v_hat = v[j] / c.bias2;
+    double update = m_hat / (std::sqrt(v_hat) + c.eps) + c.weight_decay * value[j];
+    value[j] -= static_cast<float>(c.lr * update);
   }
 }
 
+}  // namespace
+
 void Adam::Step() {
   ++t_;
-  double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Param* p = params_[i];
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      // Decoupled weight decay (AdamW style).
-      float g = p->grad.data()[j];
-      m.data()[j] = static_cast<float>(beta1_ * m.data()[j] + (1.0 - beta1_) * g);
-      v.data()[j] = static_cast<float>(beta2_ * v.data()[j] + (1.0 - beta2_) * g * g);
-      double m_hat = m.data()[j] / bias1;
-      double v_hat = v.data()[j] / bias2;
-      double update = m_hat / (std::sqrt(v_hat) + eps_) + weight_decay_ * p->value.data()[j];
-      p->value.data()[j] -= static_cast<float>(lr_ * update);
+  const AdamCoeffs c{lr_,
+                     weight_decay_,
+                     beta1_,
+                     beta2_,
+                     eps_,
+                     1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                     1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  const int64_t total = static_cast<int64_t>(offsets_.back());
+  auto update_range = [&](int64_t e0, int64_t e1) {
+    // First tensor overlapping [e0, e1), then walk tensor by tensor.
+    size_t i = static_cast<size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), static_cast<size_t>(e0)) -
+        offsets_.begin() - 1);
+    for (size_t e = static_cast<size_t>(e0); e < static_cast<size_t>(e1); ++i) {
+      const size_t end = std::min(offsets_[i + 1], static_cast<size_t>(e1));
+      const size_t off = e - offsets_[i];
+      Param* p = params_[i];
+      AdamUpdate(end - e, p->value.data() + off, p->grad.data() + off, m_.data() + e,
+                 v_.data() + e, c);
+      e = end;
     }
+  };
+  // ~20 flop-equivalents per element (two divides and a sqrt in double).
+  if (WorthForking(ThreadPool::Global(), total, 20.0 * static_cast<double>(total))) {
+    ParallelFor(0, total, ParallelGrain(total), update_range);
+  } else {
+    update_range(0, total);
   }
 }
 

@@ -36,6 +36,11 @@ class Sgd : public Optimizer {
   std::vector<Matrix> velocity_;
 };
 
+// AdamW. Step() updates every parameter element as one flattened range
+// [0, total) split across the thread pool: element e of the range is element
+// e - offsets_[i] of params_[i], and its moments are m_[e] / v_[e]. The
+// per-element update reads nothing but that element's state, so the result
+// is bitwise independent of the split.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Param*> params, double lr, double weight_decay = 0.0, double beta1 = 0.9,
@@ -46,7 +51,8 @@ class Adam : public Optimizer {
   double weight_decay_;
   double beta1_, beta2_, eps_;
   int64_t t_ = 0;
-  std::vector<Matrix> m_, v_;
+  std::vector<size_t> offsets_;  // params_.size() + 1 prefix sums of sizes
+  std::vector<float> m_, v_;
 };
 
 // Learning-rate schedule evaluated per optimizer step.

@@ -8,14 +8,88 @@ TransformerEncoderLayer::TransformerEncoderLayer(int d_model, int num_heads, int
   ff2_ = std::make_unique<Linear>(d_ff, d_model, rng);
 }
 
-Matrix TransformerEncoderLayer::Forward(const Matrix& x, int seq_len) {
-  Matrix attn_out = attn_.Forward(x, seq_len);
-  attn_out.AddInPlace(x);  // residual
-  Matrix h = norm1_.Forward(attn_out);
+namespace {
 
-  Matrix ff = ff2_->Forward(ff_relu_.Forward(ff1_->Forward(h)));
-  ff.AddInPlace(h);  // residual
-  return norm2_.Forward(ff);
+// dst rows [r0, r1) += src rows [r0, r1): the post-LN residual adds.
+void AddRows(const Matrix& src, int r0, int r1, Matrix* dst) {
+  for (int i = r0; i < r1; ++i) {
+    const float* s = src.Row(i);
+    float* d = dst->Row(i);
+    for (int j = 0; j < dst->cols(); ++j) {
+      d[j] += s[j];
+    }
+  }
+}
+
+}  // namespace
+
+void TransformerEncoderLayer::BeginStep(int rows, int seq_len) {
+  attn_.BeginStep(rows, seq_len);
+  norm1_.BeginStep(rows);
+  ff1_->BeginStep(rows);
+  ff_relu_.BeginStep(rows, ff1_->out_dim());
+  ff2_->BeginStep(rows);
+  norm2_.BeginStep(rows);
+}
+
+const Matrix& TransformerEncoderLayer::ForwardRows(const Matrix& x, int r0, int r1,
+                                                   Workspace* scratch) {
+  Matrix& attn_out = attn_.ForwardRows(x, r0, r1, scratch);
+  AddRows(x, r0, r1, &attn_out);  // residual
+  const Matrix& h = norm1_.ForwardRows(attn_out, r0, r1);
+
+  Matrix& ff = ff2_->ForwardRows(ff_relu_.ForwardRows(ff1_->ForwardRows(h, r0, r1), r0, r1),
+                                 r0, r1);
+  AddRows(h, r0, r1, &ff);  // residual
+  return norm2_.ForwardRows(ff, r0, r1);
+}
+
+void TransformerEncoderLayer::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
+  // d_ff_sum flows to both the FFN branch and the residual (h); it is ff2's
+  // output gradient as it stands.
+  Matrix& d_ff_sum = ff2_->output_grad();
+  norm2_.InputGradRows(r0, r1, &d_ff_sum);
+  Matrix& d_ff1 = ff1_->output_grad();
+  ff2_->InputGradRows(r0, r1, d_ff1.Row(r0), d_ff1.cols());
+  Relu::BackwardRows(ff1_->output(), r0, r1, &d_ff1);
+  Matrix& dh = norm1_.output_grad();
+  ff1_->InputGradRows(r0, r1, dh.Row(r0), dh.cols());
+  AddRows(d_ff_sum, r0, r1, &dh);
+
+  // Likewise d_attn_sum: the attention's output gradient and the residual's.
+  Matrix& d_attn_sum = attn_.output_grad();
+  norm1_.InputGradRows(r0, r1, &d_attn_sum);
+  attn_.InputGradRows(r0, r1, scratch, dx);
+  AddRows(d_attn_sum, r0, r1, dx);
+}
+
+void TransformerEncoderLayer::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
+  attn_.AppendGradTasks(x, tasks);
+  norm1_.AppendGradTasks(tasks);
+  ff1_->AppendGradTasks(norm1_.output(), tasks);
+  ff2_->AppendGradTasks(ff_relu_.output(), tasks);
+  norm2_.AppendGradTasks(tasks);
+}
+
+Matrix TransformerEncoderLayer::Forward(const Matrix& x, int seq_len) {
+  input_ = x;
+  BeginStep(x.rows(), seq_len);
+  Workspace scratch;
+  return ForwardRows(input_, 0, x.rows(), &scratch);
+}
+
+Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
+  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == input_.cols());
+  output_grad() = dy;
+  Workspace scratch;
+  Matrix dx(dy.rows(), dy.cols());
+  InputGradRows(0, dy.rows(), &scratch, &dx);
+  std::vector<GradTask> tasks;
+  AppendGradTasks(input_, &tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 Matrix TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len) const {
@@ -36,18 +110,6 @@ Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
   return norm2_.ForwardInference(*ff, ws);
 }
 
-Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
-  Matrix d_ff_sum = norm2_.Backward(dy);
-  // d_ff_sum flows to both the FFN branch and the residual (h).
-  Matrix dh = ff1_->Backward(ff_relu_.Backward(ff2_->Backward(d_ff_sum)));
-  dh.AddInPlace(d_ff_sum);
-
-  Matrix d_attn_sum = norm1_.Backward(dh);
-  Matrix dx = attn_.Backward(d_attn_sum);
-  dx.AddInPlace(d_attn_sum);
-  return dx;
-}
-
 void TransformerEncoderLayer::CollectParams(std::vector<Param*>* out) {
   attn_.CollectParams(out);
   norm1_.CollectParams(out);
@@ -65,12 +127,54 @@ TransformerEncoder::TransformerEncoder(int d_model, int num_heads, int d_ff, int
   }
 }
 
-Matrix TransformerEncoder::Forward(const Matrix& x, int seq_len) {
-  Matrix h = x;
+void TransformerEncoder::BeginStep(int rows, int seq_len) {
   for (auto& layer : layers_) {
-    h = layer->Forward(h, seq_len);
+    layer->BeginStep(rows, seq_len);
   }
-  return h;
+}
+
+const Matrix& TransformerEncoder::ForwardRows(const Matrix& x, int r0, int r1,
+                                              Workspace* scratch) {
+  const Matrix* h = &x;
+  for (auto& layer : layers_) {
+    h = &layer->ForwardRows(*h, r0, r1, scratch);
+  }
+  return *h;
+}
+
+void TransformerEncoder::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    layers_[i]->InputGradRows(r0, r1, scratch, &layers_[i - 1]->output_grad());
+  }
+  layers_[0]->InputGradRows(r0, r1, scratch, dx);
+}
+
+void TransformerEncoder::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
+  layers_[0]->AppendGradTasks(x, tasks);
+  for (size_t i = 1; i < layers_.size(); ++i) {
+    layers_[i]->AppendGradTasks(layers_[i - 1]->output(), tasks);
+  }
+}
+
+Matrix TransformerEncoder::Forward(const Matrix& x, int seq_len) {
+  input_ = x;
+  BeginStep(x.rows(), seq_len);
+  Workspace scratch;
+  return ForwardRows(input_, 0, x.rows(), &scratch);
+}
+
+Matrix TransformerEncoder::Backward(const Matrix& dy) {
+  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == input_.cols());
+  output_grad() = dy;
+  Workspace scratch;
+  Matrix dx(dy.rows(), dy.cols());
+  InputGradRows(0, dy.rows(), &scratch, &dx);
+  std::vector<GradTask> tasks;
+  AppendGradTasks(input_, &tasks);
+  for (const GradTask& t : tasks) {
+    RunGradTask(t);
+  }
+  return dx;
 }
 
 Matrix TransformerEncoder::ForwardInference(const Matrix& x, int seq_len) const {
@@ -85,14 +189,6 @@ Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
     h = layers_[i]->ForwardInference(*h, seq_len, ws);
   }
   return h;
-}
-
-Matrix TransformerEncoder::Backward(const Matrix& dy) {
-  Matrix d = dy;
-  for (size_t i = layers_.size(); i-- > 0;) {
-    d = layers_[i]->Backward(d);
-  }
-  return d;
 }
 
 void TransformerEncoder::CollectParams(std::vector<Param*>* out) {

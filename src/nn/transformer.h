@@ -15,10 +15,18 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int d_model, int num_heads, int d_ff, Rng* rng);
 
+  // Training row primitives (see src/nn/layers.h and attention.h).
+  void BeginStep(int rows, int seq_len);
+  const Matrix& ForwardRows(const Matrix& x, int r0, int r1, Workspace* scratch);
+  const Matrix& output() const { return norm2_.output(); }
+  Matrix& output_grad() { return norm2_.output_grad(); }
+  void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
+  void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
+
   Matrix Forward(const Matrix& x, int seq_len);
+  Matrix Backward(const Matrix& dy);
   Matrix ForwardInference(const Matrix& x, int seq_len) const;
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   // Read-only sublayer views: the int8 calibration path
@@ -37,6 +45,7 @@ class TransformerEncoderLayer : public Module {
   Relu ff_relu_;
   std::unique_ptr<Linear> ff2_;
   LayerNorm norm2_;
+  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // A stack of encoder layers.
@@ -44,14 +53,21 @@ class TransformerEncoder : public Module {
  public:
   TransformerEncoder(int d_model, int num_heads, int d_ff, int num_layers, Rng* rng);
 
+  // Training row primitives (see src/nn/layers.h and attention.h).
+  void BeginStep(int rows, int seq_len);
+  const Matrix& ForwardRows(const Matrix& x, int r0, int r1, Workspace* scratch);
+  Matrix& output_grad() { return layers_.back()->output_grad(); }
+  void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
+  void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
+
   Matrix Forward(const Matrix& x, int seq_len);
+  Matrix Backward(const Matrix& dy);
   // Cache-free const forward (see src/nn/layers.h): safe for concurrent use
   // on a shared encoder while no thread is training it.
   Matrix ForwardInference(const Matrix& x, int seq_len) const;
   // Hot path: all intermediates from `ws` (one arena per thread); the fused
   // Linear+ReLU kernel runs the FFN's hidden layer in one pass.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
-  Matrix Backward(const Matrix& dy);
   void CollectParams(std::vector<Param*>* out) override;
 
   int d_model() const { return d_model_; }
@@ -63,6 +79,7 @@ class TransformerEncoder : public Module {
  private:
   int d_model_;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;
+  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // The int8 mirror of TransformerEncoderLayer (CDMPP_PRECISION=int8): the

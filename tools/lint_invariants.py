@@ -36,7 +36,8 @@ in a temp tree and asserts the linter catches it):
   R4 zero-alloc-fork    ParallelFor / ParallelForWithScratch / RunPanels chunk
                         bodies must not contain allocation tokens (new,
                         malloc, make_unique/shared, push_back, emplace_back,
-                        .resize(, .reserve(). Chunk bodies run concurrently on
+                        .resize(, Matrix::Resize(, .reserve(). Chunk bodies
+                        run concurrently on
                         pool workers: an allocation there is both a warm-path
                         heap hit (dataplane_test) and a malloc-lock
                         serialization point. Arena bumps (NewMatrix/NewI16 on
@@ -47,7 +48,14 @@ in a temp tree and asserts the linter catches it):
                         stolen chunk runs through — and every task-descriptor
                         lambda (the type-erasure trampoline and friends) must
                         be token-free, or the scheduler would put a heap hit
-                        on every chunk of every region.
+                        on every chunk of every region. The training step
+                        (CdmppPredictor::RunTraining) is scanned the same way:
+                        RunSampleShards is a fork call, and the row primitives
+                        and gradient/optimizer kernels its shard and task
+                        bodies call (every *Rows function, RunGradTask,
+                        AddColumnSums, AdamUpdate in the training sources) must
+                        be token-free too: shard scratch comes from the
+                        region's leases or from caches sized before the fork.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
@@ -83,11 +91,12 @@ ALLOC_TOKENS = [
     (re.compile(r'\bmake_(?:unique|shared)\b'), "make_unique/make_shared"),
     (re.compile(r'(?:\.|->)\s*push_back\s*\('), "push_back("),
     (re.compile(r'(?:\.|->)\s*emplace_back\s*\('), "emplace_back("),
-    (re.compile(r'(?:\.|->)\s*resize\s*\('), "resize("),
+    (re.compile(r'(?:\.|->)\s*[rR]esize\s*\('), "resize(/Resize("),
     (re.compile(r'(?:\.|->)\s*reserve\s*\('), "reserve("),
 ]
 
-FORK_CALL = re.compile(r'\b(ParallelFor|ParallelForWithScratch|RunPanels)\s*\(')
+FORK_CALL = re.compile(
+    r'\b(ParallelFor|ParallelForWithScratch|RunPanels|RunSampleShards)\s*\(')
 
 
 def strip_comments_and_strings(text):
@@ -342,6 +351,61 @@ def all_lambda_bodies(text):
                 yield pos, text[pos:body_end]
 
 
+# The training step's shard and parameter-gradient regions call these
+# functions from their chunk bodies; they are scanned by name in the files
+# that define them.
+TRAINING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
+                  "src/nn/transformer.cc", "src/nn/optimizer.cc",
+                  "src/dataset/batching.cc")
+TRAINING_SHARD_FN = re.compile(r'\b(?:\w*Rows\w*|RunGradTask|AddColumnSums|AdamUpdate)\s*\(')
+
+
+def function_bodies(text, name_re):
+    """Yields (body_pos, body) for every function *definition* whose name
+    matches name_re (a call or declaration is skipped)."""
+    for m in name_re.finditer(text):
+        params_end = match_bracket(text, m.end() - 1, '(', ')')
+        if params_end == -1:
+            continue
+        tail = re.match(r'\s*(?:const|noexcept|override|\s)*', text[params_end:])
+        brace = params_end + tail.end()
+        if brace >= len(text) or text[brace] != '{':
+            continue
+        body_end = match_bracket(text, brace, '{', '}')
+        if body_end != -1:
+            yield brace, text[brace:body_end]
+
+
+def alloc_findings(rel, text, regions, why):
+    findings = []
+    for pos, body, what in regions:
+        for pattern, token in ALLOC_TOKENS:
+            tok = pattern.search(body)
+            if tok:
+                findings.append((rel, line_of(text, pos + tok.start()), "zero-alloc-fork",
+                                 "allocation token `%s` inside a %s: %s" % (token, what, why)))
+    return findings
+
+
+def training_shard_findings(root):
+    """R4's training-step scope: alloc tokens inside a row primitive or
+    gradient/optimizer kernel that shard and task bodies call."""
+    findings = []
+    for rel in TRAINING_FILES:
+        path = os.path.join(root, rel.replace("/", os.sep))
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8", errors="replace") as f:
+            text = strip_comments_and_strings(f.read())
+        regions = [(pos, body, "training row primitive")
+                   for pos, body in function_bodies(text, TRAINING_SHARD_FN)]
+        findings.extend(alloc_findings(
+            rel, text, regions,
+            "it runs inside the training step's shard/task regions and must be "
+            "heap-free (size caches in BeginStep, or use the shard's scratch lease)"))
+    return findings
+
+
 def scheduler_steal_drain_findings(root):
     """R4's widened scope: alloc tokens inside the scheduler's *Drain*/*Steal*
     function bodies or inside any task-descriptor lambda in the scheduler
@@ -353,30 +417,14 @@ def scheduler_steal_drain_findings(root):
             continue
         with open(path, encoding="utf-8", errors="replace") as f:
             text = strip_comments_and_strings(f.read())
-        regions = []  # (pos, body, what)
-        for m in SCHEDULER_FN.finditer(text):
-            params_end = match_bracket(text, m.end() - 1, '(', ')')
-            if params_end == -1:
-                continue
-            tail = re.match(r'\s*(?:const|noexcept|\s)*', text[params_end:])
-            brace = params_end + tail.end()
-            if brace >= len(text) or text[brace] != '{':
-                continue  # a call or declaration, not the definition
-            body_end = match_bracket(text, brace, '{', '}')
-            if body_end != -1:
-                regions.append((brace, text[brace:body_end],
-                                "steal/drain function"))
+        regions = [(pos, body, "steal/drain function")
+                   for pos, body in function_bodies(text, SCHEDULER_FN)]
         for pos, body in all_lambda_bodies(text):
             regions.append((pos, body, "task-descriptor lambda"))
-        for pos, body, what in regions:
-            for pattern, token in ALLOC_TOKENS:
-                tok = pattern.search(body)
-                if tok:
-                    findings.append(
-                        (rel, line_of(text, pos + tok.start()), "zero-alloc-fork",
-                         "allocation token `%s` inside a scheduler %s: the "
-                         "steal/drain path runs once per chunk of every "
-                         "region and must be heap-free" % (token, what)))
+        findings.extend(alloc_findings(
+            rel, text, regions,
+            "the scheduler's steal/drain path runs once per chunk of every region "
+            "and must be heap-free"))
     return findings
 
 
@@ -401,6 +449,7 @@ def check_zero_alloc_fork(root):
                              "chunk bodies must be heap-free (lease arena "
                              "scratch pre-fork instead)" % (token, call.group(1))))
     findings.extend(scheduler_steal_drain_findings(root))
+    findings.extend(training_shard_findings(root))
     return findings
 
 
@@ -477,6 +526,22 @@ SEEDED_VIOLATIONS = {
          "    static_cast<std::vector<float>*>(c)->resize(static_cast<size_t>(e - b));\n"
          "  };\n"
          "  task(ctx, 0, 8);\n"
+         "}\n"),
+        # The training step, leg 1: a shard body of the sample-sharded
+        # training regions that grows a container per shard.
+        ("src/core/bad_shard.cc",
+         "void Step(int batch, std::vector<int>* seen) {\n"
+         "  RunSampleShards(batch, [&](Workspace* scratch, int s0, int s1) {\n"
+         "    seen->push_back(s1 - s0);\n"
+         "  });\n"
+         "}\n"),
+        # The training step, leg 2: a row primitive (called from shard
+        # bodies) that sizes its cache inside the region instead of in
+        # BeginStep.
+        ("src/nn/layers.cc",
+         "const Matrix& Relu::ForwardRows(const Matrix& x, int r0, int r1) {\n"
+         "  y_.Resize(x.rows(), x.cols());\n"
+         "  return y_;\n"
          "}\n"),
     ],
 }
