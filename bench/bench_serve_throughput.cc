@@ -334,9 +334,9 @@ int main(int argc, char** argv) {
               int8_fraction_gate_ok ? "PASS" : "FAIL: not a majority");
 
   // ---- Threads series: batched QPS vs intra-request thread count. ----
-  // The encoder's per-(sample, head) attention blocks and the GEMM row
-  // panels fork across ThreadPool::Global(); this sweep re-runs the batched
-  // workload under private pools of several sizes (the same code path
+  // Each wave of a batched forward runs as one region of row shards on
+  // ThreadPool::Global(); this sweep re-runs the batched workload under
+  // private pools of several sizes (the same code path
   // CDMPP_NUM_THREADS selects at startup) so BENCH_serve.json records how
   // intra-request parallelism scales on this host. One worker, so the pool
   // size is the only variable; the concurrency matrix below measures how

@@ -78,11 +78,14 @@ CdmppPredictor::CdmppPredictor(const PredictorConfig& config)
   decoder_ = std::make_unique<Mlp>(dec_dims, &rng_);
 }
 
-void CdmppPredictor::CollectAllParams(std::vector<Param*>* out) {
+void CdmppPredictor::CollectAllParams(std::vector<Param*>* out, bool step_heads_only) {
   input_proj_->CollectParams(out);
   encoder_->CollectParams(out);
   for (auto& [leaves, head] : leaf_heads_) {
-    head->CollectParams(out);
+    if (!step_heads_only ||
+        std::find(step_heads_.begin(), step_heads_.end(), head.get()) != step_heads_.end()) {
+      head->CollectParams(out);
+    }
   }
   device_mlp_->CollectParams(out);
   decoder_->CollectParams(out);
@@ -184,6 +187,9 @@ void CdmppPredictor::ReleaseStepCaches() {
 void CdmppPredictor::BackwardPass(bool through_decoder, const Matrix& dz_extra) {
   const int l = step_seq_len_;
   Linear& head = *step_head_;
+  if (std::find(step_heads_.begin(), step_heads_.end(), &head) == step_heads_.end()) {
+    step_heads_.push_back(&head);
+  }
   RunSampleShards(step_batch_, [&](Workspace* scratch, int s0, int s1) {
     if (through_decoder) {
       decoder_->BackpropRows(s0, s1);
@@ -234,11 +240,14 @@ void CdmppPredictor::ClipGradients() {
   if (config_.grad_clip <= 0.0) {
     return;
   }
-  const int64_t n = static_cast<int64_t>(params_.size());
-  std::vector<double> norms(params_.size());
+  // Only the tensors the step wrote: every other gradient is exactly zero,
+  // and +0.0 terms leave the ordered sum's bits unchanged.
+  const std::vector<Param*>& params = step_params_;
+  const int64_t n = static_cast<int64_t>(params.size());
+  std::vector<double> norms(params.size());
   ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
-      norms[static_cast<size_t>(i)] = params_[static_cast<size_t>(i)]->grad.SquaredNorm();
+      norms[static_cast<size_t>(i)] = params[static_cast<size_t>(i)]->grad.SquaredNorm();
     }
   });
   double norm_sq = 0.0;
@@ -250,7 +259,7 @@ void CdmppPredictor::ClipGradients() {
     float scale = static_cast<float>(config_.grad_clip / norm);
     ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
       for (int64_t i = i0; i < i1; ++i) {
-        params_[static_cast<size_t>(i)]->grad.Scale(scale);
+        params[static_cast<size_t>(i)]->grad.Scale(scale);
       }
     });
   }
@@ -364,9 +373,12 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
     size_t step_in_epoch = 0;
     for (const Batch& batch : batches) {
       optimizer_->set_learning_rate(scheduler_->LrAt(global_step_));
-      for (Param* p : params_) {
+      // Only the gradients the previous step wrote can be nonzero; a head
+      // no step has drawn since still holds the zeros its last zeroing left.
+      for (Param* p : step_params_) {
         p->grad.Zero();
       }
+      step_heads_.clear();
 
       // ---- Prediction loss pass. ----
       ForwardPass(ds, batch);
@@ -405,6 +417,8 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
         step_loss += alpha * cmd;
       }
 
+      step_params_.clear();
+      CollectAllParams(&step_params_, /*step_heads_only=*/true);
       ClipGradients();
       optimizer_->Step();
       ++global_step_;
@@ -451,12 +465,14 @@ std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector
     view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
     view.device_ids.push_back(s.device_id);
   }
-  // A call-local arena rather than a global-pool lease: validation runs
-  // between training epochs, and a pooled arena would pin its whole-forward
+  // Call-local arenas rather than global-pool leases: validation runs
+  // between training epochs, and pooled arenas would pin a whole wave's
   // footprint next to the training caches for the life of the process.
   Workspace ws;
+  WorkspacePool shard_arenas;
   std::vector<double> out(indices.size(), 0.0);
-  PredictBatched(view, &ws, out.data());
+  PredictBatchedImpl(view, &ws, out.data(), /*num_forward_passes=*/nullptr, Precision::kFp32,
+                     &shard_arenas);
   return out;
 }
 
@@ -532,9 +548,7 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
                                                    uint64_t* num_forward_passes) const {
   // Arena leased from the process-wide pool: repeated callers (PredictAst,
   // tests, the replayer) share warm arenas with the serving workers and the
-  // batch-row-parallel layer chunks instead of each thread growing a private
-  // one. Checkout never blocks, so this composes with the nested scratch
-  // leases the forward takes internally.
+  // row shards instead of each thread growing a private one.
   WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
   std::vector<double> out(view.size(), 0.0);
   PredictBatched(view, ws.get(), out.data(), num_forward_passes);
@@ -543,7 +557,8 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
 
 void CdmppPredictor::PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                                     uint64_t* num_forward_passes) const {
-  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kFp32);
+  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kFp32,
+                     &WorkspacePool::Global());
 }
 
 void CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view, Workspace* ws,
@@ -553,7 +568,7 @@ void CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view, Workspace
                   "int8 serving before PrepareQuantizedInference()");
   CDMPP_CHECK_MSG(mode != Precision::kFp32,
                   "PredictBatchedQuantized called with fp32 mode; use PredictBatched");
-  PredictBatchedImpl(view, ws, out, num_forward_passes, mode);
+  PredictBatchedImpl(view, ws, out, num_forward_passes, mode, &WorkspacePool::Global());
 }
 
 std::vector<double> CdmppPredictor::PredictBatchedQuantized(
@@ -564,9 +579,69 @@ std::vector<double> CdmppPredictor::PredictBatchedQuantized(
   return out;
 }
 
+namespace {
+
+// Samples [s0, s1) of one plan batch: one forward inside a shard.
+struct Segment {
+  const Batch* batch;
+  int s0;
+  int s1;
+};
+
+// The plan and the shard table of one wave, recycled per calling thread so
+// that planning a warm request stream allocates nothing. Shard j runs
+// segments [shard_begin[j], shard_begin[j + 1]).
+struct ShardPlan {
+  BatchPlan plan;
+  std::vector<Segment> segments;
+  std::vector<int> shard_begin;
+};
+
+// Arena source for a wave's region: the caller's own arena serves the first
+// lease (shard 0, which the caller always runs itself, or every shard when
+// the region runs inline), `pool` the rest. Leases are taken on the calling
+// thread before the fork, so which arena serves which shard never depends
+// on scheduling.
+class ShardArenas {
+ public:
+  ShardArenas(Workspace* caller, WorkspacePool* pool) : caller_(caller), pool_(pool) {}
+  Workspace* Checkout() {
+    if (!caller_lent_) {
+      caller_lent_ = true;
+      return caller_;
+    }
+    return pool_->Checkout();
+  }
+  void Return(Workspace* ws) {
+    if (ws != caller_) {
+      pool_->Return(ws);
+    }
+  }
+
+ private:
+  Workspace* caller_;
+  WorkspacePool* pool_;
+  bool caller_lent_ = false;
+};
+
+// Rows a shard holds at least. One row's forward costs about as much as
+// waking a pool worker, so a drain of one to three rows runs inline: forking
+// those made the miss path slower under an open-loop load.
+constexpr int kMinShardRows = 2;
+
+// Weight-GEMM flops per token of one forward (input projection, then QKV,
+// output projection and FFN per encoder layer): the work estimate a wave's
+// fork decision weighs against the shared policy.
+double ForwardFlopsPerToken(const PredictorConfig& c) {
+  const double d = c.d_model;
+  return 2.0 * (kFeatDim * d + c.num_layers * (4.0 * d * d + 2.0 * d * c.d_ff));
+}
+
+}  // namespace
+
 void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                                        uint64_t* num_forward_passes, Precision mode) const {
-  const bool quantized = mode != Precision::kFp32;
+                                        uint64_t* num_forward_passes, Precision mode,
+                                        WorkspacePool* shard_pool) const {
   CDMPP_CHECK(fitted_);
   CDMPP_CHECK(view.asts.size() == view.device_ids.size());
   if (view.size() == 0) {
@@ -578,95 +653,195 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
     return;
   }
   CDMPP_CHECK(ws != nullptr && out != nullptr);
-  // The plan recycles its buffers per thread, so steady-state bucketing of a
-  // request stream costs no allocations (unlike the map-of-vectors grouping
-  // the training path uses).
-  static thread_local BatchPlan plan;
-  plan.Build(view, config_.batch_size);
+  // The calling thread's instance, bound once: a chunk body must not name
+  // the thread_local itself, or it would resolve to the executing worker's.
+  static thread_local ShardPlan tls_plan;
+  ShardPlan& sp = tls_plan;
+  const BatchPlan& plan = sp.plan;
+  sp.plan.Build(view, config_.batch_size);
   if (num_forward_passes != nullptr) {
     *num_forward_passes = static_cast<uint64_t>(plan.num_batches());
   }
-  const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
-  for (int bi = 0; bi < plan.num_batches(); ++bi) {
-    const Batch& batch = plan.batch(bi);
-    const int b = static_cast<int>(batch.sample_indices.size());
-    const int l = batch.seq_len;
-    auto head_it = leaf_heads_.find(l);
-    CDMPP_CHECK_MSG(head_it != leaf_heads_.end(),
-                    "no head for this leaf count; call EnsureHead first");
-    const QuantizedLinear* q_head = nullptr;
-    if (quantized) {
-      auto q_it = q_leaf_heads_.find(l);
-      CDMPP_CHECK_MSG(q_it != q_leaf_heads_.end(),
-                      "no quantized head for this leaf count; call EnsureQuantizedHead first");
-      q_head = q_it->second.get();
-    }
-
-    // Per-stage trace spans (no-ops unless the serving layer sampled this
-    // batch and bound a Trace to the calling thread). Pure timing on the
-    // calling thread: the data plane below is untouched, so the bitwise
-    // thread-count/batch-size invariance contracts hold with tracing on.
-    ws->Reset();
-    Matrix* x = ws->NewMatrix(b * l, kFeatDim);
-    {
-      obs::ScopedSpan span(obs::Stage::kFeaturize);
-      BuildFeatureMatrixInto(view, batch, scaler, config_.use_pe, config_.pe_theta, x);
-    }
-    Matrix* h = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kEncoder);
-      // The input projection stays fp32 in every mode (its quantization noise
-      // would feed the whole stack for ~1% of model FLOPs); kInt8 swaps the
-      // encoder stack for its quantized snapshot, kInt8Heads keeps it fp32.
-      Matrix* proj = input_proj_->ForwardInference(*x, ws);
-      h = mode == Precision::kInt8 ? q_encoder_->ForwardInference(*proj, l, ws)
-                                   : encoder_->ForwardInference(*proj, l, ws);
-    }
-    Matrix* zx = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kHeads);
-      Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
-      PackRowsInto(*h, b, l, packed);
-      zx = quantized ? q_head->ForwardInference(*packed, ws)
-                     : head_it->second->ForwardInference(*packed, ws);
-    }
-
-    Matrix* zv = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kDeviceMlp);
-      Matrix* dev = ws->NewMatrix(b, kDeviceFeatDim);
-      BuildDeviceFeatureMatrixInto(view, batch, dev);
-      zv = quantized ? q_device_mlp_->ForwardInference(*dev, ws)
-                     : device_mlp_->ForwardInference(*dev, ws);
-    }
-
-    Matrix* preds = nullptr;
-    {
-      obs::ScopedSpan span(obs::Stage::kDecoder);
-      Matrix* z = ws->NewMatrix(b, config_.z_dim + config_.device_embed_dim);
-      for (int i = 0; i < b; ++i) {
-        float* row = z->Row(i);
-        for (int j = 0; j < config_.z_dim; ++j) {
-          row[j] = zx->At(i, j);
-        }
-        for (int j = 0; j < config_.device_embed_dim; ++j) {
-          row[config_.z_dim + j] = zv->At(i, j);
-        }
+  ThreadPool& pool = ThreadPool::Global();
+  const int64_t threads = pool.num_threads();
+  const double flops_per_token = ForwardFlopsPerToken(config_);
+  // Waves run from the largest leaf count down, so the first wave holds the
+  // largest shards and later waves mostly fit the arenas it grew.
+  int wave_end = plan.num_batches();
+  while (wave_end > 0) {
+    // A wave: consecutive plan batches (each already <= batch_size rows)
+    // totalling at most batch_size rows, so a wave's arenas together hold
+    // about one full batch's tensors.
+    int bi = wave_end;
+    int rows = 0;
+    int64_t tokens = 0;
+    while (bi > 0) {
+      const Batch& b = plan.batch(bi - 1);
+      const int n = static_cast<int>(b.sample_indices.size());
+      if (bi < wave_end && rows + n > config_.batch_size) {
+        break;
       }
-      preds = quantized ? q_decoder_->ForwardInference(*z, ws)
-                        : decoder_->ForwardInference(*z, ws);
+      rows += n;
+      tokens += static_cast<int64_t>(n) * b.seq_len;
+      --bi;
     }
-    {
-      // "Dequant" in the serving sense: map the transformed model output back
-      // to seconds. (The int8 GEMM dequant epilogues are fused in-kernel and
-      // accounted to their host stage.)
-      obs::ScopedSpan span(obs::Stage::kDequant);
-      for (int i = 0; i < b; ++i) {
-        double pred_ms = label_transform_->Inverse(
-            ClampTransformed(static_cast<double>(preds->At(i, 0))));
-        out[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])] =
-            pred_ms / kSecondsToMs;
+    const int wave_begin = bi;
+    const int64_t parts = std::max<int64_t>(1, std::min<int64_t>(threads, rows / kMinShardRows));
+    if (ThreadPool::InParallelRegion() ||
+        !WorthForking(pool, parts, static_cast<double>(tokens) * flops_per_token)) {
+      // Inline on the caller's arena, one forward per plan batch; outside a
+      // region, GEMMs large enough still fork their row panels.
+      for (; bi < wave_end; ++bi) {
+        const Batch& b = plan.batch(bi);
+        ForwardShard(view, b, 0, static_cast<int>(b.sample_indices.size()), mode, ws, out);
       }
+      wave_end = wave_begin;
+      continue;
+    }
+    // Cut the wave's samples, in plan order, into at most one contiguous
+    // shard per pool thread with about equal token (sample x leaf) counts.
+    // A shard spans whole batches and pieces of batches, one segment each.
+    // Equal shards keep every shard arena near 1/parts of the wave, so the
+    // arenas of a region together hold about one wave's tensors.
+    sp.segments.clear();  // keeps capacity
+    sp.shard_begin.clear();
+    int64_t prefix = 0;
+    int64_t current = -1;
+    for (; bi < wave_end; ++bi) {
+      const Batch& b = plan.batch(bi);
+      const int n = static_cast<int>(b.sample_indices.size());
+      for (int k = 0; k < n; ++k, prefix += b.seq_len) {
+        const int64_t shard = prefix * parts / tokens;
+        if (shard != current) {
+          sp.shard_begin.push_back(static_cast<int>(sp.segments.size()));
+          current = shard;
+        } else if (k > 0) {
+          ++sp.segments.back().s1;  // same batch, same shard
+          continue;
+        }
+        sp.segments.push_back({&b, k, k + 1});
+      }
+    }
+    const int64_t num_shards = static_cast<int64_t>(sp.shard_begin.size());
+    sp.shard_begin.push_back(static_cast<int>(sp.segments.size()));
+    wave_end = wave_begin;
+
+    const std::vector<Segment>& segments = sp.segments;
+    const std::vector<int>& shard_begin = sp.shard_begin;
+    // Every op inside a shard runs inline, and every op is
+    // batch-size-invariant per row, so results do not depend on the cut;
+    // each shard writes only its own `out` positions.
+    auto run_shards = [&](Workspace* scratch, int64_t j0, int64_t j1) {
+      for (int64_t g = shard_begin[static_cast<size_t>(j0)];
+           g < shard_begin[static_cast<size_t>(j1)]; ++g) {
+        const Segment& seg = segments[static_cast<size_t>(g)];
+        ForwardShard(view, *seg.batch, seg.s0, seg.s1, mode, scratch, out);
+      }
+    };
+    ShardArenas arenas(ws, shard_pool);
+    if (shard_pool->num_free() + 1 < static_cast<size_t>(num_shards)) {
+      // The region would create arenas: run its shards one after another on
+      // the calling thread, each in the arena it gets in later regions, so
+      // that new arenas first grow in the caller's heap, where memory the
+      // caller freed (the training caches, for validation) is reused.
+      std::vector<Workspace*> leased;
+      for (int64_t j = 0; j < num_shards; ++j) {
+        leased.push_back(arenas.Checkout());
+        run_shards(leased.back(), j, j + 1);
+      }
+      for (auto it = leased.rbegin(); it != leased.rend(); ++it) {
+        arenas.Return(*it);
+      }
+      continue;
+    }
+    // One region per wave.
+    pool.ParallelForWithScratch(arenas, 0, num_shards, 1, run_shards);
+  }
+}
+
+void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
+                                  Precision mode, Workspace* ws, double* out) const {
+  const bool quantized = mode != Precision::kFp32;
+  const int b = s1 - s0;
+  const int l = batch.seq_len;
+  auto head_it = leaf_heads_.find(l);
+  CDMPP_CHECK_MSG(head_it != leaf_heads_.end(),
+                  "no head for this leaf count; call EnsureHead first");
+  const QuantizedLinear* q_head = nullptr;
+  if (quantized) {
+    auto q_it = q_leaf_heads_.find(l);
+    CDMPP_CHECK_MSG(q_it != q_leaf_heads_.end(),
+                    "no quantized head for this leaf count; call EnsureQuantizedHead first");
+    q_head = q_it->second.get();
+  }
+
+  // Per-stage trace spans: no-ops unless the serving layer sampled this
+  // batch and bound a Trace to the executing thread, which only the caller
+  // has, so a traced sharded wave records the stages of the shards the
+  // caller ran (shard 0 at least). Pure timing: the data plane below is
+  // untouched, so the bitwise thread-count/batch-size invariance contracts
+  // hold with tracing on.
+  ws->Reset();
+  Matrix* x = ws->NewMatrix(b * l, kFeatDim);
+  {
+    obs::ScopedSpan span(obs::Stage::kFeaturize);
+    const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
+    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta, x);
+  }
+  Matrix* h = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kEncoder);
+    // The input projection stays fp32 in every mode (its quantization noise
+    // would feed the whole stack for ~1% of model FLOPs); kInt8 swaps the
+    // encoder stack for its quantized snapshot, kInt8Heads keeps it fp32.
+    Matrix* proj = input_proj_->ForwardInference(*x, ws);
+    h = mode == Precision::kInt8 ? q_encoder_->ForwardInference(*proj, l, ws)
+                                 : encoder_->ForwardInference(*proj, l, ws);
+  }
+  Matrix* zx = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kHeads);
+    Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
+    PackRowsInto(*h, b, l, packed);
+    zx = quantized ? q_head->ForwardInference(*packed, ws)
+                   : head_it->second->ForwardInference(*packed, ws);
+  }
+
+  Matrix* zv = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kDeviceMlp);
+    Matrix* dev = ws->NewMatrix(b, kDeviceFeatDim);
+    BuildDeviceFeatureMatrixInto(view, batch, s0, s1, dev);
+    zv = quantized ? q_device_mlp_->ForwardInference(*dev, ws)
+                   : device_mlp_->ForwardInference(*dev, ws);
+  }
+
+  Matrix* preds = nullptr;
+  {
+    obs::ScopedSpan span(obs::Stage::kDecoder);
+    Matrix* z = ws->NewMatrix(b, config_.z_dim + config_.device_embed_dim);
+    for (int i = 0; i < b; ++i) {
+      float* row = z->Row(i);
+      for (int j = 0; j < config_.z_dim; ++j) {
+        row[j] = zx->At(i, j);
+      }
+      for (int j = 0; j < config_.device_embed_dim; ++j) {
+        row[config_.z_dim + j] = zv->At(i, j);
+      }
+    }
+    preds = quantized ? q_decoder_->ForwardInference(*z, ws)
+                      : decoder_->ForwardInference(*z, ws);
+  }
+  {
+    // "Dequant" in the serving sense: map the transformed model output back
+    // to seconds. (The int8 GEMM dequant epilogues are fused in-kernel and
+    // accounted to their host stage.)
+    obs::ScopedSpan span(obs::Stage::kDequant);
+    for (int i = 0; i < b; ++i) {
+      double pred_ms = label_transform_->Inverse(
+          ClampTransformed(static_cast<double>(preds->At(i, 0))));
+      out[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(s0 + i)])] =
+          pred_ms / kSecondsToMs;
     }
   }
 }

@@ -116,7 +116,10 @@ class CdmppPredictor {
   //
   // PredictBatched is the online hot path: a *const* batched forward over
   // free-standing (AST, device) requests, one cache-free forward pass per
-  // leaf-count bucket (chunked to config().batch_size). Thread-safety
+  // leaf-count bucket (chunked to config().batch_size). The buckets run in
+  // waves of at most config().batch_size rows, each wave as one parallel
+  // region of row shards on ThreadPool::Global() (README "Threading
+  // model"); results do not depend on the pool size or the cut. Thread-safety
   // contract: any number of threads may call PredictBatched concurrently on a
   // shared predictor without locking, as long as no thread mutates the model
   // (training, EnsureHead, ImportParams) at the same time — the forward pass
@@ -133,12 +136,14 @@ class CdmppPredictor {
   std::vector<double> PredictBatched(const AstBatchView& view,
                                      uint64_t* num_forward_passes = nullptr) const;
 
-  // Arena-based variant — the serving hot path. All forward-pass tensors come
-  // from `ws` (one arena per calling thread; the PredictionService workers
-  // each own one) and the `view.size()` predictions are written to `out`, so
-  // a warmed-up call performs zero heap allocations end to end (asserted by
-  // tests/dataplane_test.cc). Same thread-safety contract and bitwise-equal
-  // results as the vector overload, which delegates here.
+  // Arena-based variant — the serving hot path. The first shard of every
+  // wave runs in `ws` (one arena per calling thread; the PredictionService
+  // workers each own one), the others in arenas leased from
+  // WorkspacePool::Global(), and the `view.size()` predictions are written
+  // to `out`, so a warmed-up call performs zero heap allocations end to end
+  // on every thread (asserted by tests/dataplane_test.cc). Same
+  // thread-safety contract and bitwise-equal results as the vector
+  // overload, which delegates here.
   void PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                       uint64_t* num_forward_passes = nullptr) const;
 
@@ -216,13 +221,26 @@ class CdmppPredictor {
   // (the last layer's norm2 profile tiled leaf_count times).
   std::vector<float> HeadColumnScales(int leaf_count, const Linear& head) const;
   void RebuildOptimizer();
-  void CollectAllParams(std::vector<Param*>* out);
+  // Every trainable tensor in a fixed order; with `step_heads_only`, only the
+  // heads in step_heads_ among the per-leaf-count heads.
+  void CollectAllParams(std::vector<Param*>* out, bool step_heads_only = false);
 
   // Shared serving forward: the fp32 and both int8 modes differ only in
   // which layer snapshots run the weight-GEMM stages (`mode` selects encoder
-  // coverage on top of the heads/device-MLP/decoder swap).
+  // coverage on top of the heads/device-MLP/decoder swap). The leaf-count
+  // plan is drained in waves of at most config().batch_size rows; each wave
+  // runs as one parallel region over row shards (README "Threading model").
+  // The first shard runs in `ws`, the others in arenas leased from
+  // `shard_pool`.
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                          uint64_t* num_forward_passes, Precision mode) const;
+                          uint64_t* num_forward_passes, Precision mode,
+                          WorkspacePool* shard_pool) const;
+  // One row shard of the serving forward: samples [s0, s1) of `batch` run
+  // featurize -> input projection -> encoder -> head, device MLP -> decoder
+  // -> inverse transform with every op inline, in `ws` (Reset first), and
+  // write their predictions to `out` at their view positions.
+  void ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
+                    Precision mode, Workspace* ws, double* out) const;
 
   // The training step, as a few parallel regions over contiguous sample
   // shards (README "Training step"; layer row primitives in src/nn/layers.h).
@@ -242,8 +260,8 @@ class CdmppPredictor {
   // `dz_extra` on z when non-empty — then one region with a task per
   // parameter tensor that accumulates the gradients over the full batch.
   void BackwardPass(bool through_decoder, const Matrix& dz_extra);
-  // Global-norm clipping: per-tensor squared norms in parallel, summed in
-  // tensor order.
+  // Global-norm clipping over step_params_: per-tensor squared norms in
+  // parallel, summed in tensor order.
   void ClipGradients();
   std::vector<Matrix> SnapshotParams();
   void RestoreParams(const std::vector<Matrix>& snapshot);
@@ -288,6 +306,11 @@ class CdmppPredictor {
   Matrix dev_;     // [B, kDeviceFeatDim]: device MLP input
   Matrix z_;       // [B, z_dim + device_embed_dim]: decoder input
   Matrix dz_;      // its gradient
+  // The heads BackwardPass ran through this step, and the tensors the step
+  // wrote gradients into (CollectAllParams order). Every gradient outside
+  // step_params_ is exactly zero, so the next step zeroes only these.
+  std::vector<Linear*> step_heads_;
+  std::vector<Param*> step_params_;
 };
 
 }  // namespace cdmpp

@@ -128,24 +128,25 @@ std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view) {
 
 Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
                           const StandardScaler* scaler, bool use_pe, double theta) {
-  Matrix x(static_cast<int>(batch.sample_indices.size()) * batch.seq_len, kFeatDim);
-  BuildFeatureMatrixInto(view, batch, scaler, use_pe, theta, &x);
+  const int b = static_cast<int>(batch.sample_indices.size());
+  Matrix x(b * batch.seq_len, kFeatDim);
+  BuildFeatureMatrixInto(view, batch, 0, b, scaler, use_pe, theta, &x);
   return x;
 }
 
-void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
+void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                             const StandardScaler* scaler, bool use_pe, double theta,
                             Matrix* x_out) {
-  const int b = static_cast<int>(batch.sample_indices.size());
   const int l = batch.seq_len;
   Matrix& x = *x_out;
-  CDMPP_CHECK(x.rows() == b * l && x.cols() == kFeatDim);
-  for (int i = 0; i < b; ++i) {
+  CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
+  CDMPP_CHECK(x.rows() == (s1 - s0) * l && x.cols() == kFeatDim);
+  for (int i = s0; i < s1; ++i) {
     const CompactAst& ast =
         *view.asts[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
     CDMPP_CHECK(ast.num_leaves == l);
     for (int t = 0; t < l; ++t) {
-      float* row = x.Row(i * l + t);
+      float* row = x.Row((i - s0) * l + t);
       const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
       for (int j = 0; j < kFeatDim; ++j) {
         row[j] = cv[static_cast<size_t>(j)];
@@ -164,18 +165,20 @@ void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
 }
 
 Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch) {
-  Matrix out(static_cast<int>(batch.sample_indices.size()), kDeviceFeatDim);
-  BuildDeviceFeatureMatrixInto(view, batch, &out);
+  const int b = static_cast<int>(batch.sample_indices.size());
+  Matrix out(b, kDeviceFeatDim);
+  BuildDeviceFeatureMatrixInto(view, batch, 0, b, &out);
   return out;
 }
 
-void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, Matrix* out) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  CDMPP_CHECK(out->rows() == b && out->cols() == kDeviceFeatDim);
-  for (int i = 0; i < b; ++i) {
+void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
+                                  Matrix* out) {
+  CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
+  CDMPP_CHECK(out->rows() == s1 - s0 && out->cols() == kDeviceFeatDim);
+  for (int i = s0; i < s1; ++i) {
     const int device_id =
         view.device_ids[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    ExtractDeviceFeaturesInto(DeviceById(device_id), out->Row(i));
+    ExtractDeviceFeaturesInto(DeviceById(device_id), out->Row(i - s0));
   }
 }
 

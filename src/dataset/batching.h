@@ -74,12 +74,14 @@ Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
 // Device feature matrix for a batch of view positions.
 Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch);
 
-// Allocation-free variants for the serving hot path: fill a caller-provided
-// matrix (e.g. from a Workspace arena) already sized to the expected shape.
-void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch,
+// Allocation-free variants for the serving hot path: the rows of samples
+// [s0, s1) of the two matrices above, written from row 0 of a caller-provided
+// matrix (e.g. from a Workspace arena) already sized to (s1 - s0) samples.
+void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                             const StandardScaler* scaler, bool use_pe, double theta,
                             Matrix* x);
-void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, Matrix* out);
+void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
+                                  Matrix* out);
 
 // Reusable replacement for GroupByLeafCount + MakeBatches on the serving hot
 // path: produces the identical deterministic batch sequence (buckets in

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/obs/trace.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
@@ -15,25 +14,17 @@ namespace {
 // between the two tiers; the activation×activation GEMMs are identical).
 // q_all must already carry the folded 1/sqrt(d_head) softmax scale. Every
 // (sample, head) writes its own disjoint [seq_len, d_head] block of the
-// returned context, so no zero-fill or reduction is needed — and the blocks
-// split across cores. Each forked chunk leases a scores scratch arena from
-// the global WorkspacePool (the caller's `ws` stays single-owner);
-// per-element accumulation order inside each block is fixed by the kernels
-// regardless of partition, so the output is bitwise identical for every
-// thread count. Inner GEMMs of forked chunks run inline (nested ParallelFor
-// is serial), which the kernels' partition-independence keeps bitwise too.
+// returned context, so no zero-fill or reduction is needed, and the result
+// of a sample does not depend on the other samples in the batch. The loop
+// runs inline: serving parallelism comes from the predictor's row shards,
+// one level up.
 Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix& v_all,
                          int batch, int seq_len, int num_heads, int d_head, int d_model,
                          Workspace* ws) {
   Matrix* context = ws->NewMatrix(batch * seq_len, d_model);
-  const int64_t blocks = static_cast<int64_t>(batch) * num_heads;
-  // One chunk of the block loop: scores is that chunk's private scratch; all
-  // other reads/writes are disjoint per block, so the arithmetic is the same
-  // whichever scratch backs it.
-  auto process = [&](Matrix* scores, int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const int b = static_cast<int>(i / num_heads);
-      const int h = static_cast<int>(i % num_heads);
+  Matrix* scores = ws->NewMatrix(seq_len, seq_len);
+  for (int b = 0; b < batch; ++b) {
+    for (int h = 0; h < num_heads; ++h) {
       const float* q = q_all.Row(b * seq_len) + h * d_head;
       const float* k = k_all.Row(b * seq_len) + h * d_head;
       const float* v = v_all.Row(b * seq_len) + h * d_head;
@@ -47,23 +38,6 @@ Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix&
       kernels::GemmNN(seq_len, d_head, seq_len, scores->data(), seq_len, v, d_model,
                       /*beta=*/0.0f, ctx, d_model);
     }
-  };
-  // ~2 GEMMs of 2*L*L*d_head flops per block, against the shared fork policy.
-  const double flops =
-      4.0 * static_cast<double>(blocks) * seq_len * static_cast<double>(seq_len) * d_head;
-  ThreadPool& pool = ThreadPool::Global();
-  if (WorthForking(pool, blocks, flops)) {
-    // Forked: each chunk leases its scores scratch from the global pool (the
-    // caller's `ws` stays single-owner).
-    pool.ParallelForWithScratch(WorkspacePool::Global(), 0, blocks, ParallelGrain(blocks),
-                                [&](Workspace* scratch, int64_t i0, int64_t i1) {
-                                  process(scratch->NewMatrix(seq_len, seq_len), i0, i1);
-                                });
-  } else {
-    // Serial: scores from the caller's arena, zero synchronization — the
-    // QPS-bound many-worker configuration (CDMPP_NUM_THREADS=1) never
-    // touches the pool mutex.
-    process(ws->NewMatrix(seq_len, seq_len), 0, blocks);
   }
   return context;
 }
@@ -215,10 +189,7 @@ Matrix MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len) co
 
 Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
                                                  Workspace* ws) const {
-  // Whole-call wall time on the calling thread, forked chunks included — the
-  // span never reaches into the parallel region, so chunk scheduling and the
-  // bitwise thread-count invariance are unaffected. No-op unless the serving
-  // layer bound a sampled trace to this thread.
+  // No-op unless the serving layer bound a sampled trace to this thread.
   obs::ScopedSpan span(obs::Stage::kAttention);
   CDMPP_CHECK(seq_len > 0);
   CDMPP_CHECK(x.rows() % seq_len == 0);
@@ -272,8 +243,7 @@ QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
 
 Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
                                                           Workspace* ws) const {
-  // Same span discipline as the fp32 path: whole-call wall time on the
-  // calling thread, never reaching into the parallel region.
+  // Same span discipline as the fp32 path.
   obs::ScopedSpan span(obs::Stage::kAttention);
   CDMPP_CHECK(seq_len > 0);
   CDMPP_CHECK(x.rows() % seq_len == 0);
@@ -281,10 +251,10 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
   const int batch = x.rows() / seq_len;
 
   // The three input projections share ONE quantization of x (the constructor
-  // gave them identical folded column scales), done before any fork with
-  // row-deterministic per-row scales — both bitwise invariance contracts
-  // hold, and the quantize pass runs once instead of three times. Without a
-  // channel profile the fp32 copies run instead (see the constructor).
+  // gave them identical folded column scales) with row-deterministic per-row
+  // scales — both bitwise invariance contracts hold, and the quantize pass
+  // runs once instead of three times. Without a channel profile the fp32
+  // copies run instead (see the constructor).
   Matrix* q_all;
   Matrix* k_all;
   Matrix* v_all;

@@ -37,10 +37,9 @@ class MultiHeadSelfAttention : public Module {
   // Hot path: per-head Q/K/V blocks are addressed in place inside the packed
   // [batch*seq_len, d_model] activations via the kernels' leading-dimension
   // parameters — zero block extraction copies. The per-(sample, head) blocks
-  // split across cores (each writes a disjoint context block; chunks lease
-  // scores scratch from WorkspacePool::Global()), and the output is bitwise
-  // identical for every CDMPP_NUM_THREADS value. Layer-owned scratch comes
-  // from `ws`, which stays single-owner.
+  // run inline, each writing a disjoint context block, and the output is
+  // bitwise identical for every CDMPP_NUM_THREADS value and batch split.
+  // All scratch comes from `ws`.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 
@@ -74,9 +73,8 @@ class MultiHeadSelfAttention : public Module {
 // activation×activation score/context GEMMs stay fp32 (their operands are
 // both dynamic, a different quantization problem — ROADMAP follow-on). The
 // score/context block loop is the SAME code the fp32 path runs (shared
-// helper), so the quantized path inherits its thread-count bitwise
-// invariance; QKV quantization happens before the forked region with
-// row-deterministic per-row scales, keeping batch-size invariance too.
+// helper), and QKV quantization uses row-deterministic per-row scales, so
+// the quantized path keeps both bitwise invariance contracts.
 //
 // `act_absmax` is a data-free per-input-channel magnitude estimate for x
 // (from the preceding LayerNorm when there is one); non-empty enables the
@@ -99,8 +97,8 @@ class QuantizedMultiHeadSelfAttention {
   QuantizedMultiHeadSelfAttention(const MultiHeadSelfAttention& attn,
                                   const std::vector<float>& act_absmax);
 
-  // x: [batch * seq_len, d_model]; same contract and parallel structure as
-  // the fp32 arena ForwardInference.
+  // x: [batch * seq_len, d_model]; same contract as the fp32 arena
+  // ForwardInference.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
 
   int d_model() const { return d_model_; }

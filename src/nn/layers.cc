@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/obs/trace.h"
-#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
@@ -178,21 +177,8 @@ Matrix* Relu::ForwardInference(const Matrix& x, Workspace* ws) const {
   Matrix* y = ws->NewMatrix(x.rows(), x.cols());
   const float* src = x.data();
   float* dst = y->data();
-  const int64_t total = static_cast<int64_t>(x.size());
-  // Elementwise with disjoint writes: the chunk partition cannot change any
-  // value, so splitting across cores keeps the bitwise contract for free. A
-  // clamp is memory-bound — weigh each element at ~4 work units (2 floats
-  // streamed) against the shared fork policy, so only panels too big for one
-  // core's cache fork.
-  auto clamp_range = [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      dst[i] = std::max(0.0f, src[i]);
-    }
-  };
-  if (WorthForking(ThreadPool::Global(), total, 4.0 * static_cast<double>(total))) {
-    ParallelFor(0, total, ParallelGrain(total), clamp_range);
-  } else {
-    clamp_range(0, total);
+  for (size_t i = 0; i < x.size(); ++i) {
+    dst[i] = std::max(0.0f, src[i]);
   }
   return y;
 }
@@ -292,38 +278,27 @@ namespace {
 
 // The single copy of the inference-normalization loop, shared by both
 // ForwardInference overloads so they stay bitwise-consistent. Rows are
-// independent, so batch rows split across cores; tiny inputs stay serial
-// (ParallelFor also runs inline when the range fits one chunk).
+// independent, so a row's result does not depend on the batch around it.
 void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, float eps,
                        Matrix* y) {
-  const int n = x.rows();
   const int d = x.cols();
-  auto normalize_rows = [&](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x.Row(static_cast<int>(i));
-      float mean = 0.0f;
-      for (int j = 0; j < d; ++j) {
-        mean += row[j];
-      }
-      mean /= static_cast<float>(d);
-      float var = 0.0f;
-      for (int j = 0; j < d; ++j) {
-        var += (row[j] - mean) * (row[j] - mean);
-      }
-      var /= static_cast<float>(d);
-      const float inv_std = 1.0f / std::sqrt(var + eps);
-      float* yrow = y->Row(static_cast<int>(i));
-      for (int j = 0; j < d; ++j) {
-        yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
-      }
+  for (int i = 0; i < x.rows(); ++i) {
+    const float* row = x.Row(i);
+    float mean = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      mean += row[j];
     }
-  };
-  // ~10 flops per element over the mean/var/normalize passes, against the
-  // shared fork policy.
-  if (WorthForking(ThreadPool::Global(), n, 10.0 * static_cast<double>(n) * d)) {
-    ParallelFor(0, n, ParallelGrain(n), normalize_rows);
-  } else {
-    normalize_rows(0, n);
+    mean /= static_cast<float>(d);
+    float var = 0.0f;
+    for (int j = 0; j < d; ++j) {
+      var += (row[j] - mean) * (row[j] - mean);
+    }
+    var /= static_cast<float>(d);
+    const float inv_std = 1.0f / std::sqrt(var + eps);
+    float* yrow = y->Row(i);
+    for (int j = 0; j < d; ++j) {
+      yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
+    }
   }
 }
 

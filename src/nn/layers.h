@@ -183,8 +183,7 @@ class Relu : public Module {
   // was <= 0.
   static void BackwardRows(const Matrix& x, int r0, int r1, Matrix* d);
   Matrix ForwardInference(const Matrix& x) const;
-  // Hot path; large panels split elementwise across cores (bitwise identical
-  // for every thread count — the clamp is elementwise with disjoint writes).
+  // Hot path: output from `ws`.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
   void CollectParams(std::vector<Param*>*) override {}
 
@@ -208,7 +207,7 @@ class LayerNorm : public Module {
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
   Matrix ForwardInference(const Matrix& x) const;
-  // Hot path; rows are split across cores via ParallelFor for large batches.
+  // Hot path: output from `ws`.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 

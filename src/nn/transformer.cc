@@ -1,5 +1,7 @@
 #include "src/nn/transformer.h"
 
+#include <algorithm>
+
 namespace cdmpp {
 
 TransformerEncoderLayer::TransformerEncoderLayer(int d_model, int num_heads, int d_ff, Rng* rng)
@@ -19,6 +21,29 @@ void AddRows(const Matrix& src, int r0, int r1, Matrix* dst) {
       d[j] += s[j];
     }
   }
+}
+
+// Runs layers 0..n-1 (layer(i, h) returns layer i's output for input h) in
+// `ws`. A layer's intermediates are dead once its output exists, so every
+// output but the last is copied into one of two carry buffers taken before
+// a mark, and the arena is rewound to that mark: the arena holds one layer's
+// tensors instead of all of them, with the same values.
+template <typename Layer>
+Matrix* ForwardLayerStack(size_t n, const Matrix& x, Workspace* ws, Layer&& layer) {
+  Matrix* carry[2] = {nullptr, nullptr};
+  const Matrix* h = &x;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    Matrix*& buf = carry[i % 2];
+    if (buf == nullptr) {
+      buf = ws->NewMatrix(x.rows(), x.cols());
+    }
+    const Workspace::Mark mark = ws->GetMark();
+    const Matrix* y = layer(i, *h);
+    std::copy(y->data(), y->data() + y->size(), buf->data());
+    ws->Rewind(mark);
+    h = buf;
+  }
+  return layer(n - 1, *h);
 }
 
 }  // namespace
@@ -184,11 +209,9 @@ Matrix TransformerEncoder::ForwardInference(const Matrix& x, int seq_len) const 
 
 Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
                                              Workspace* ws) const {
-  Matrix* h = layers_[0]->ForwardInference(x, seq_len, ws);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i]->ForwardInference(*h, seq_len, ws);
-  }
-  return h;
+  return ForwardLayerStack(layers_.size(), x, ws, [&](size_t i, const Matrix& h) {
+    return layers_[i]->ForwardInference(h, seq_len, ws);
+  });
 }
 
 void TransformerEncoder::CollectParams(std::vector<Param*>* out) {
@@ -210,10 +233,9 @@ QuantizedTransformerEncoderLayer::QuantizedTransformerEncoderLayer(
 Matrix* QuantizedTransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
                                                            Workspace* ws) const {
   // Mirrors the fp32 layer exactly, with the weight GEMMs swapped for their
-  // quantized snapshots. Residual adds and LayerNorms are fp32: every
-  // parallel region inside (attention chunks, LayerNorm rows, activation
-  // quantization rows) writes disjoint regions, so the whole layer stays
-  // bitwise thread-count-invariant.
+  // quantized snapshots. Residual adds and LayerNorms are fp32, and every
+  // op is local to a row or a sample, so the whole layer stays bitwise
+  // batch-split- and thread-count-invariant.
   Matrix* attn_out = attn_.ForwardInference(x, seq_len, ws);
   attn_out->AddInPlace(x);  // residual
   Matrix* h = norm1_.ForwardInference(*attn_out, ws);
@@ -239,11 +261,9 @@ QuantizedTransformerEncoder::QuantizedTransformerEncoder(const TransformerEncode
 
 Matrix* QuantizedTransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
                                                       Workspace* ws) const {
-  Matrix* h = layers_[0].ForwardInference(x, seq_len, ws);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i].ForwardInference(*h, seq_len, ws);
-  }
-  return h;
+  return ForwardLayerStack(layers_.size(), x, ws, [&](size_t i, const Matrix& h) {
+    return layers_[i].ForwardInference(h, seq_len, ws);
+  });
 }
 
 }  // namespace cdmpp

@@ -15,13 +15,13 @@
 // Matrices keep stable addresses across Reset() because slots are pooled
 // behind unique_ptr.
 //
-// A single-owner Workspace stays the fast path. The pool exists for the two
+// A single-owner Workspace stays the fast path. The pool exists for the
 // places ownership is not one-thread-one-arena: serving workers lease their
-// batch arena for the worker's lifetime, and the batch-row-parallel layers
-// (attention's per-(sample, head) chunks) lease short-lived scratch arenas
-// per ParallelFor chunk. Checkout never blocks — the pool grows on demand —
-// so nested leases (a worker holding its arena while attention chunks lease
-// scratch inside the same forward) cannot deadlock by construction.
+// batch arena for the worker's lifetime, and parallel regions (the
+// predictor's serving row shards and training sample shards) lease one
+// short-lived arena per ParallelFor chunk. Checkout never blocks — the pool
+// grows on demand — so nested leases (a worker holding its arena while its
+// forward's shards lease more) cannot deadlock by construction.
 #ifndef SRC_NN_WORKSPACE_H_
 #define SRC_NN_WORKSPACE_H_
 
@@ -57,6 +57,19 @@ class Workspace {
   void Reset() {
     cursor_ = 0;
     i16_cursor_ = 0;
+  }
+
+  // Partial rewind within a pass: Rewind(GetMark()) hands out again the
+  // buffers taken since the mark (their contents are then unspecified), so
+  // a staged forward can reuse a finished stage's intermediates.
+  struct Mark {
+    size_t matrices;
+    size_t i16;
+  };
+  Mark GetMark() const { return {cursor_, i16_cursor_}; }
+  void Rewind(Mark mark) {
+    cursor_ = mark.matrices;
+    i16_cursor_ = mark.i16;
   }
 
   // Introspection (tests, stats).
@@ -144,10 +157,10 @@ class WorkspacePool {
   };
   Lease Acquire() { return Lease(this); }
 
-  // Process-wide pool the inference data plane leases from: serving workers,
-  // the convenience PredictBatched overloads, and the batch-row-parallel
-  // layer chunks all share it, so warm arenas migrate to wherever the load
-  // is instead of accumulating per thread.
+  // Process-wide pool the data plane leases from: serving workers, the
+  // convenience PredictBatched overloads, and the predictor's shard regions
+  // all share it, so warm arenas migrate to wherever the load is instead of
+  // accumulating per thread.
   static WorkspacePool& Global();
 
   // Introspection (tests, stats). num_arenas() - num_free() arenas are

@@ -9,11 +9,14 @@
 // when sampling is off — ScopedSpan is a thread-local load and a branch: no
 // clock read, no allocation, nothing the ≤1% overhead gate can see.
 //
-// Spans are recorded only on the thread that owns the binding. ParallelFor
-// chunk bodies never open spans, so tracing cannot perturb chunk scheduling
-// and the thread-count bitwise-invariance contract is untouched: a stage that
-// forks internally (attention, GEMM panels) is measured as whole-call wall
-// time on the calling worker.
+// Spans are recorded only on the thread that owns the binding; on any other
+// thread a ScopedSpan is a no-op. A stage that forks internally (GEMM
+// panels) is measured as whole-call wall time on the calling worker. The
+// predictor's serving shards open their stage spans inside the chunk body,
+// so a traced sharded wave records the stages of the shards the calling
+// worker ran (a caller always runs the first chunk of its region), and its
+// wait for the others lands in the enclosing forward span. Spans only read
+// clocks, so tracing cannot change a result.
 //
 // Attribution uses EXCLUSIVE time — each span's duration minus its nested
 // children — so per-stage numbers sum to (at most) the request total and the

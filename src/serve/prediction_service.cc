@@ -206,14 +206,15 @@ void PredictionService::WorkerLoop() {
   // Per-worker arena leased from the process-wide pool for the worker's
   // lifetime (returned warm at shutdown, so the next service or caller
   // reuses it), plus a reusable output buffer: steady-state forward passes
-  // touch the heap zero times once warm (src/nn/workspace.h). Intra-request
-  // parallelism inside the forward (batch-row attention chunks) leases
-  // additional scratch from the same pool; checkout grows on demand and
-  // never blocks, so worker-level and per-chunk leases compose without
-  // deadlock. Workers no longer need to avoid a busy compute pool either:
-  // since the work-stealing scheduler (src/support/parallel_for.cc), each
-  // worker's ParallelFor registers its own region and concurrent forwards
-  // compose instead of one of them collapsing to serial.
+  // touch the heap zero times once warm (src/nn/workspace.h). The forward
+  // runs each wave of a drain as one region of row shards: the first shard
+  // in this arena, the others in arenas leased from the same pool; checkout
+  // grows on demand and never blocks, so worker-level and per-shard leases
+  // compose without deadlock. A drain of fewer than four rows runs inline.
+  // Workers need not avoid a busy compute pool either: each worker's region
+  // registers separately and concurrent forwards compose through the
+  // work-stealing scheduler (src/support/parallel_for.cc) instead of one of
+  // them collapsing to serial.
   WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
   std::vector<double> predictions;
   for (;;) {

@@ -20,13 +20,13 @@
 // the rare first sighting of a new leaf count, to create its head. Two
 // parallelism levels compose: worker-level batching (one arena per worker,
 // leased from WorkspacePool::Global() for the worker's lifetime) and
-// intra-request parallelism inside each forward (GEMM row panels and the
-// encoder's batch-row attention chunks fork across ThreadPool::Global(),
-// leasing per-chunk scratch from the same pool — checkout grows on demand
-// and never blocks, so nested leases cannot deadlock). Results are bitwise
-// identical for every CDMPP_NUM_THREADS value; see README "Threading model"
-// for when intra-request threads help (big batches) vs hurt (QPS-bound
-// many-worker serving).
+// intra-request parallelism inside each forward (each wave of a drain runs
+// as one region of row shards on ThreadPool::Global(); the first shard uses
+// the worker's arena, the others lease arenas from the same pool — checkout
+// grows on demand and never blocks, so nested leases cannot deadlock).
+// Results are bitwise identical for every CDMPP_NUM_THREADS value; see
+// README "Threading model" for when intra-request threads help (batches
+// with spare cores) vs hurt (QPS-bound many-worker serving).
 #ifndef SRC_SERVE_PREDICTION_SERVICE_H_
 #define SRC_SERVE_PREDICTION_SERVICE_H_
 

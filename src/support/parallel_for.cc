@@ -170,20 +170,25 @@ struct ThreadPool::Impl {
       if (i >= r->end) {
         return;
       }
-      const int64_t e = std::min(r->end, i + r->grain);
       if (stealing) {
         CountSteal();
       }
-      if (!r->failed.load(std::memory_order_relaxed)) {
-        try {
-          r->fn(r->ctx, i, e);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          r->failed.store(true, std::memory_order_relaxed);
-          if (!r->error) {
-            r->error = std::current_exception();
-          }
-        }
+      DrainChunk(r, i);
+    }
+  }
+
+  // Runs the claimed chunk starting at `i`, unless the region has failed.
+  void DrainChunk(Region* r, int64_t i) {
+    if (r->failed.load(std::memory_order_relaxed)) {
+      return;
+    }
+    try {
+      r->fn(r->ctx, i, std::min(r->end, i + r->grain));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      r->failed.store(true, std::memory_order_relaxed);
+      if (!r->error) {
+        r->error = std::current_exception();
       }
     }
   }
@@ -295,7 +300,9 @@ void ThreadPool::RunImpl(int64_t begin, int64_t end, int64_t grain,
   region.ctx = ctx;
   region.end = end;
   region.grain = grain;
-  region.next.store(begin, std::memory_order_relaxed);
+  // Chunk 0 is the caller's (below): it always runs a share of its own
+  // region, on its own thread, however fast the pool claims the rest.
+  region.next.store(begin + grain, std::memory_order_relaxed);
   const int64_t num_chunks = (end - begin + grain - 1) / grain;
 
   int wake = -1;  // stays -1 on the registry-full fallback
@@ -328,6 +335,7 @@ void ThreadPool::RunImpl(int64_t begin, int64_t end, int64_t grain,
   }
 
   tls_in_parallel_region = true;
+  impl_->DrainChunk(&region, begin);
   impl_->DrainRegion(&region, /*stealing=*/false);
   tls_in_parallel_region = false;
 

@@ -1,7 +1,8 @@
 // A persistent worker pool with a single primitive: ParallelFor over an
 // integer range. This is the only threading construct the compute data plane
-// (src/nn/kernels.cc and the batch-row loops in the layers) uses, so the
-// whole library shares one pool instead of spawning threads per call.
+// (the predictor's shard regions, src/nn/kernels.cc's GEMM row panels and the
+// optimizer) uses, so the whole library shares one pool instead of spawning
+// threads per call.
 //
 // Multiple top-level regions may be in flight at once: each ParallelFor
 // publishes its chunk descriptor into a registry, drains its own region, and
@@ -27,13 +28,12 @@ namespace cdmpp {
 // ---- Shared serial-vs-fork policy for the data-plane loops. -----------------
 //
 // Forking a region costs a fixed wake/join handshake, so small loops run
-// faster inline. Every data-plane loop (GEMM row panels in kernels.cc,
-// attention's per-(sample, head) blocks, the row/elementwise loops in
-// layers.cc and quantize.cc) shares this one threshold instead of inventing
-// its own: call sites pass their estimated work in flop-equivalents
-// (memory-bound loops weight each element by its rough op count), and the
-// constant is tuned in exactly one place. 2*m*n*k for the d_model=64
-// predictor GEMM shapes crosses this around batch 16.
+// faster inline. Every data-plane fork (GEMM row panels in kernels.cc, the
+// predictor's serving waves, the optimizer's element range) shares this one
+// threshold instead of inventing its own: call sites pass their estimated
+// work in flop-equivalents (memory-bound loops weight each element by its
+// rough op count), and the constant is tuned in exactly one place. 2*m*n*k
+// for the d_model=64 predictor GEMM shapes crosses this around batch 16.
 constexpr double kParallelMinWork = 256.0 * 1024.0;
 
 inline bool WorthForkingWork(double work) { return work >= kParallelMinWork; }
@@ -80,7 +80,8 @@ class ThreadPool {
 
   // Splits [begin, end) into chunks of at most `grain` iterations and invokes
   // fn(chunk_begin, chunk_end) across the pool; the calling thread
-  // participates. Blocks until every chunk has completed.
+  // participates, and always runs the first chunk itself. Blocks until every
+  // chunk has completed.
   //
   // - Concurrent top-level callers compose: each call registers its own
   //   region and idle workers steal chunks from any live region, so a busy
@@ -158,8 +159,10 @@ class ThreadPool {
       Pool& pool;
       Scratch** scratch;
       int64_t n = 0;
+      // Returned last-to-first, so a LIFO pool hands lease j back to chunk
+      // j on the caller's next region of the same size.
       ~Returner() {
-        for (int64_t i = 0; i < n; ++i) {
+        for (int64_t i = n; i-- > 0;) {
           pool.Return(scratch[i]);
         }
       }

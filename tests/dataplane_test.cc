@@ -3,6 +3,7 @@
 // arena, and the full CdmppPredictor::PredictBatched — performs ZERO heap
 // allocations once warm. Plus bitwise equivalence of the arena path with the
 // allocating convenience path.
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -12,6 +13,8 @@
 
 #include "src/core/predictor.h"
 #include "src/nn/workspace.h"
+#include "src/obs/metrics.h"
+#include "src/support/parallel_for.h"
 #include "src/tir/schedule.h"
 
 // ---- Counting allocator ----------------------------------------------------
@@ -22,9 +25,13 @@
 // counters; the assertions below only examine the calling thread, which is
 // the thread the Workspace/BatchPlan reuse contract applies to.
 static thread_local long g_thread_allocs = 0;
+// Every thread's operator-new calls, for the sharded forward whose shards
+// run on pool workers.
+static std::atomic<long> g_all_allocs{0};
 
 static void* CountedAlloc(std::size_t size) {
   ++g_thread_allocs;
+  g_all_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
@@ -195,6 +202,33 @@ TEST(DataPlaneAllocTest, PredictBatchedSteadyStateIsAllocationFree) {
   const long delta = g_thread_allocs - before;
   EXPECT_EQ(delta, 0) << "steady-state PredictBatched must be allocation-free per request";
   EXPECT_GE(passes, 1u);
+}
+
+TEST(DataPlaneAllocTest, ShardedPredictBatchedIsAllocationFreeOnEveryThreadWhenWarm) {
+  // The same contract when waves run as parallel regions: the caller's plan
+  // and shard table, the leased shard arenas and the pool's region
+  // bookkeeping are all warm after two passes, so no thread allocates.
+  TestWorld& w = World();
+  AstBatchView view = ViewOf(w);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    ThreadPool::SetGlobalForTesting(&pool);
+    Workspace ws;
+    std::vector<double> out(view.size(), 0.0);
+    w.predictor->PredictBatched(view, &ws, out.data());
+    w.predictor->PredictBatched(view, &ws, out.data());
+    const obs::Counter& forked =
+        obs::MetricsRegistry::Global().GetCounter("parallel_for.forked");
+    const uint64_t forks_before = forked.Value();
+    const long before = g_all_allocs.load();
+    w.predictor->PredictBatched(view, &ws, out.data());
+    const long delta = g_all_allocs.load() - before;
+    const uint64_t forks = forked.Value() - forks_before;
+    ThreadPool::SetGlobalForTesting(nullptr);
+    EXPECT_EQ(delta, 0) << "a warm sharded PredictBatched touched the heap";
+    EXPECT_GT(forks, 0u) << "no wave ran as a parallel region";
+  }
 }
 
 TEST(DataPlaneEquivalenceTest, EmptyViewPredictsNothing) {

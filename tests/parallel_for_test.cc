@@ -226,6 +226,23 @@ TEST(ParallelForTest, ConcurrentTopLevelRegionsComposeWithoutSerialFallback) {
             static_cast<uint64_t>(kCallers));
 }
 
+TEST(ParallelForTest, CallerRunsTheFirstChunk) {
+  // The first chunk is the caller's however fast the workers claim the rest:
+  // ParallelForWithScratch callers rely on it to keep lease 0 (their own
+  // arena, in the predictor's shard regions) on their own thread.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int rep = 0; rep < 50; ++rep) {
+    std::thread::id first_runner;
+    pool.ParallelFor(5, 69, /*grain=*/8, [&](int64_t b, int64_t) {
+      if (b == 5) {
+        first_runner = std::this_thread::get_id();
+      }
+    });
+    ASSERT_EQ(first_runner, caller) << "rep " << rep;
+  }
+}
+
 TEST(ParallelForTest, IdleWorkerStealsChunksOfAnActiveRegion) {
   // A region whose first chunk blocks until a second executor arrives can
   // only finish if a pool worker steals the remaining chunks — this pins the

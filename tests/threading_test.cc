@@ -7,10 +7,13 @@
 //     deterministic chunk->lease assignment.
 //   * Thread-count invariance — the serving contract that ForwardInference /
 //     PredictBatched results are BITWISE identical for every
-//     CDMPP_NUM_THREADS value (pools of 1, 2, and 8 threads), for fp32 and
-//     int8, under both kernel ISAs, and across batch splits.
+//     CDMPP_NUM_THREADS value (pools of 1, 2, 3, 4 and 8 threads), for fp32
+//     and int8, under both kernel ISAs, and across batch splits and the
+//     sharded forward's row shards (one parallel region per wave).
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -22,6 +25,7 @@
 #include "src/core/predictor.h"
 #include "src/nn/transformer.h"
 #include "src/nn/workspace.h"
+#include "src/obs/metrics.h"
 #include "src/serve/prediction_service.h"
 #include "src/support/cpu_features.h"
 #include "src/support/parallel_for.h"
@@ -256,7 +260,7 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
 
 TEST(ThreadInvarianceTest, EncoderForwardInferenceBitwiseAcrossThreadCounts) {
   Rng rng(71);
-  // Big enough that the attention block loop actually forks (the flops
+  // Big enough that the GEMM row panels actually fork (the flops
   // threshold), with a seq_len that exercises ragged kernel tails.
   TransformerEncoder enc(/*d_model=*/32, /*num_heads=*/4, /*d_ff=*/64, /*num_layers=*/2,
                          &rng);
@@ -392,6 +396,159 @@ TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
       }
     });
   }
+}
+
+// A view whose leaf-count buckets hold `sizes[i]` rows each (bucket i uses
+// the i-th distinct leaf count of the workload), cycling through that
+// count's ASTs and three devices. Position order interleaves the buckets so
+// that each shard's writes land on scattered `out` positions.
+AstBatchView MixedView(const TestWorld& w, const std::vector<int>& sizes) {
+  std::map<int, std::vector<const CompactAst*>> by_leaves;
+  for (const CompactAst& ast : w.workload) {
+    by_leaves[ast.num_leaves].push_back(&ast);
+  }
+  std::vector<const std::vector<const CompactAst*>*> buckets;
+  for (const auto& [leaves, asts] : by_leaves) {
+    buckets.push_back(&asts);
+  }
+  EXPECT_GE(buckets.size(), sizes.size()) << "workload has too few leaf counts";
+  std::vector<int> left = sizes;
+  AstBatchView view;
+  for (bool any = true; any;) {
+    any = false;
+    for (size_t i = 0; i < sizes.size() && i < buckets.size(); ++i) {
+      if (left[i] > 0) {
+        const std::vector<const CompactAst*>& asts = *buckets[i];
+        const int k = sizes[i] - left[i]--;
+        view.asts.push_back(asts[static_cast<size_t>(k) % asts.size()]);
+        view.device_ids.push_back(static_cast<int>(view.size()) % 3);
+        any = true;
+      }
+    }
+  }
+  return view;
+}
+
+// Waves of a view whose buckets hold `sizes` rows, given in ascending leaf
+// count: the forward packs consecutive plan batches (buckets chunked to
+// batch_size), largest leaf count first, into waves of at most batch_size
+// rows.
+int64_t NumWaves(const std::vector<int>& sizes, int batch_size) {
+  std::vector<int> batches;
+  for (int n : sizes) {
+    for (int r = n; r > 0; r -= batch_size) {
+      batches.push_back(std::min(r, batch_size));
+    }
+  }
+  int64_t waves = 0;
+  int rows = batch_size;
+  for (auto it = batches.rbegin(); it != batches.rend(); ++it) {
+    if (rows + *it > batch_size) {
+      ++waves;
+      rows = 0;
+    }
+    rows += *it;
+  }
+  return waves;
+}
+
+AstBatchView RowOf(const AstBatchView& view, size_t i) {
+  AstBatchView one;
+  one.asts.push_back(view.asts[i]);
+  one.device_ids.push_back(view.device_ids[i]);
+  return one;
+}
+
+void PredictMode(const CdmppPredictor& p, const AstBatchView& view, Precision mode,
+                 Workspace* ws, double* out) {
+  if (mode == Precision::kFp32) {
+    p.PredictBatched(view, ws, out);
+  } else {
+    p.PredictBatchedQuantized(view, ws, out, /*num_forward_passes=*/nullptr, mode);
+  }
+}
+
+// The sharded forward's contract: for every pool size, every precision, and
+// ragged buckets around the shard count g (1, g-1, g, g+1 and batch_size+1
+// rows over five leaf counts, so waves mix buckets and buckets span waves),
+// PredictBatched equals size-1 forwards bitwise, forks at most once per
+// wave, and a 1-row view never forks.
+TEST(ShardedForwardTest, BitwiseEqualToSingleRowForwardsForEveryPoolSize) {
+  TestWorld& w = World();
+  const int batch_size = w.predictor->config().batch_size;
+  const obs::Counter& forked =
+      obs::MetricsRegistry::Global().GetCounter("parallel_for.forked");
+  ForEachIsa([&] {
+    for (Precision mode : {Precision::kFp32, Precision::kInt8Heads, Precision::kInt8}) {
+      SCOPED_TRACE(PrecisionName(mode));
+      for (int g : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(g));
+        const std::vector<int> sizes = {1, g - 1, g, g + 1, batch_size + 1};
+        const AstBatchView view = MixedView(w, sizes);
+        std::vector<double> expected(view.size(), -1.0);
+        {
+          ScopedGlobalPool serial(1);
+          Workspace ws;
+          for (size_t i = 0; i < view.size(); ++i) {
+            PredictMode(*w.predictor, RowOf(view, i), mode, &ws, &expected[i]);
+          }
+        }
+        ScopedGlobalPool scoped(g);
+        Workspace ws;
+        std::vector<double> batched;
+        for (int rep = 0; rep < 2; ++rep) {
+          batched.assign(view.size(), -1.0);
+          const uint64_t before = forked.Value();
+          PredictMode(*w.predictor, view, mode, &ws, batched.data());
+          const uint64_t forks = forked.Value() - before;
+          EXPECT_LE(forks, static_cast<uint64_t>(NumWaves(sizes, batch_size)));
+          if (g > 1) {
+            EXPECT_GT(forks, 0u) << "no wave ran as a parallel region";
+          }
+          ASSERT_EQ(batched, expected) << "sharding changed a prediction";
+        }
+        const AstBatchView one = RowOf(view, view.size() - 1);
+        double single = -1.0;
+        const uint64_t before = forked.Value();
+        PredictMode(*w.predictor, one, mode, &ws, &single);
+        EXPECT_EQ(forked.Value() - before, 0u) << "a 1-row view forked";
+        EXPECT_EQ(single, expected.back());
+      }
+    }
+  });
+}
+
+// Two callers sharing the predictor and the pool: their waves' regions
+// compose, and neither result moves by a bit.
+TEST(ShardedForwardTest, ConcurrentCallersStayBitwiseEqual) {
+  TestWorld& w = World();
+  const AstBatchView view =
+      MixedView(w, {3, 7, 1, 12, w.predictor->config().batch_size + 5});
+  std::vector<double> expected(view.size(), -1.0);
+  {
+    ScopedGlobalPool serial(1);
+    Workspace ws;
+    w.predictor->PredictBatched(view, &ws, expected.data());
+  }
+  ScopedGlobalPool scoped(4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&] {
+      Workspace ws;
+      std::vector<double> out(view.size());
+      for (int rep = 0; rep < 20; ++rep) {
+        w.predictor->PredictBatched(view, &ws, out.data());
+        if (out != expected) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ThreadInvarianceTest, ServiceUnderIntraRequestThreadsMatchesDirectForward) {

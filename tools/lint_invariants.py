@@ -56,6 +56,17 @@ in a temp tree and asserts the linter catches it):
                         AddColumnSums, AdamUpdate in the training sources) must
                         be token-free too: shard scratch comes from the
                         region's leases or from caches sized before the fork.
+                        So is the serving forward: layers no longer fork per
+                        op (attention's per-chunk scratch leases are gone), and
+                        CdmppPredictor::PredictBatchedImpl runs each wave as
+                        one ParallelForWithScratch region over row shards.
+                        Its shard body is scanned as a chunk body, and every
+                        function a shard calls (ForwardShard, every
+                        *ForwardInference, ForwardPreQuantized,
+                        ForwardLayerStack, AttentionContext, SoftmaxRows,
+                        LayerNormRowsInto, QuantizeRowsImpl, PackRowsInto and
+                        the Build*MatrixInto featurizers) must be token-free:
+                        its tensors come from the shard's arena.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
@@ -387,23 +398,46 @@ def alloc_findings(rel, text, regions, why):
     return findings
 
 
-def training_shard_findings(root):
-    """R4's training-step scope: alloc tokens inside a row primitive or
-    gradient/optimizer kernel that shard and task bodies call."""
+# The serving forward's shard region calls these; scanned by name in the
+# files that define them.
+SERVING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
+                 "src/nn/transformer.cc", "src/nn/quantize.cc", "src/dataset/batching.cc")
+SERVING_SHARD_FN = re.compile(
+    r'\b(?:ForwardShard|\w*ForwardInference|ForwardPreQuantized|ForwardLayerStack|'
+    r'AttentionContext|SoftmaxRows|LayerNormRowsInto|QuantizeRowsImpl|PackRowsInto|'
+    r'Build\w*MatrixInto)\s*\(')
+
+
+def callee_findings(root, files, fn_re, what, why):
+    """Alloc tokens inside the named functions a region's bodies call."""
     findings = []
-    for rel in TRAINING_FILES:
+    for rel in files:
         path = os.path.join(root, rel.replace("/", os.sep))
         if not os.path.exists(path):
             continue
         with open(path, encoding="utf-8", errors="replace") as f:
             text = strip_comments_and_strings(f.read())
-        regions = [(pos, body, "training row primitive")
-                   for pos, body in function_bodies(text, TRAINING_SHARD_FN)]
-        findings.extend(alloc_findings(
-            rel, text, regions,
-            "it runs inside the training step's shard/task regions and must be "
-            "heap-free (size caches in BeginStep, or use the shard's scratch lease)"))
+        regions = [(pos, body, what) for pos, body in function_bodies(text, fn_re)]
+        findings.extend(alloc_findings(rel, text, regions, why))
     return findings
+
+
+def training_shard_findings(root):
+    """R4's training-step scope: alloc tokens inside a row primitive or
+    gradient/optimizer kernel that shard and task bodies call."""
+    return callee_findings(
+        root, TRAINING_FILES, TRAINING_SHARD_FN, "training row primitive",
+        "it runs inside the training step's shard/task regions and must be "
+        "heap-free (size caches in BeginStep, or use the shard's scratch lease)")
+
+
+def serving_shard_findings(root):
+    """R4's serving scope: alloc tokens inside a function the serving
+    forward's row shards call."""
+    return callee_findings(
+        root, SERVING_FILES, SERVING_SHARD_FN, "serving shard function",
+        "it runs inside the serving forward's shard region and must be heap-free "
+        "(take tensors from the shard's arena)")
 
 
 def scheduler_steal_drain_findings(root):
@@ -450,6 +484,7 @@ def check_zero_alloc_fork(root):
                              "scratch pre-fork instead)" % (token, call.group(1))))
     findings.extend(scheduler_steal_drain_findings(root))
     findings.extend(training_shard_findings(root))
+    findings.extend(serving_shard_findings(root))
     return findings
 
 
@@ -542,6 +577,23 @@ SEEDED_VIOLATIONS = {
          "const Matrix& Relu::ForwardRows(const Matrix& x, int r0, int r1) {\n"
          "  y_.Resize(x.rows(), x.cols());\n"
          "  return y_;\n"
+         "}\n"),
+        # The serving forward, leg 1: a wave's shard body that grows a
+        # container per shard.
+        ("src/core/bad_wave.cc",
+         "void Wave(ThreadPool& pool, ShardArenas& arenas, int64_t n,\n"
+         "          std::vector<int64_t>* seen) {\n"
+         "  auto run_shards = [&](Workspace* scratch, int64_t j0, int64_t j1) {\n"
+         "    seen->emplace_back(j1 - j0);\n"
+         "  };\n"
+         "  pool.ParallelForWithScratch(arenas, 0, n, 1, run_shards);\n"
+         "}\n"),
+        # The serving forward, leg 2: a function a shard calls that
+        # heap-allocates a temporary instead of taking it from the arena.
+        ("src/nn/attention.cc",
+         "Matrix* AttentionContext(const Matrix& q, int batch, Workspace* ws) {\n"
+         "  auto scores = std::make_unique<Matrix>(8, 8);\n"
+         "  return ws->NewMatrix(batch, q.cols());\n"
          "}\n"),
     ],
 }
