@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                       "p50 (ms)", "p99 (ms)"});
   const std::vector<int> worker_sweep = smoke ? std::vector<int>{2} : std::vector<int>{1, 2, 4};
   const std::vector<double> window_sweep =
-      smoke ? std::vector<double>{0.2} : std::vector<double>{0.0, 0.2, 1.0};
+      smoke ? std::vector<double>{0.0} : std::vector<double>{0.0, 0.2, 1.0};
   for (int workers : worker_sweep) {
     for (double window_ms : window_sweep) {
       ServeOptions opts;

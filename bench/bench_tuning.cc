@@ -83,9 +83,6 @@ ServeOptions TuningServeOptions() {
   ServeOptions opts;
   opts.num_workers = 2;
   opts.max_batch_size = 64;
-  // The client bulk-enqueues whole populations, so batches already form at
-  // population size; a batch window would only add sleep per ScoreBatch.
-  opts.batch_window_ms = 0.0;
   opts.enable_cache = true;
   return opts;
 }

@@ -37,9 +37,9 @@ int main() {
   ServeOptions serve_opts;
   serve_opts.num_workers = 2;
   serve_opts.max_batch_size = 64;
-  serve_opts.batch_window_ms = 0.5;
   PredictionService service(&predictor, serve_opts);
-  std::printf("Service up: %d workers, batch window %.1fms, cache capacity %zu.\n\n",
+  std::printf("Service up: %d workers, batch window %.1fms (0: dispatch on arrival), "
+              "cache capacity %zu.\n\n",
               serve_opts.num_workers, serve_opts.batch_window_ms, serve_opts.cache_capacity);
 
   // --- 3a. Blocking queries: compare two candidate schedules of one task. ---

@@ -88,9 +88,6 @@ AutotuneResult Autotune(const Dataset& ds, const std::vector<int>& train,
     } else if (opts.scoring == TrialScoring::kServe) {
       ServeOptions serve_opts;
       serve_opts.num_workers = opts.serve_workers;
-      // The client bulk-enqueues the whole validation set per trial; a batch
-      // window would only add sleep (see ServeCostModel).
-      serve_opts.batch_window_ms = 0.0;
       PredictionService service(&predictor, serve_opts);
       ServeCostModel client(&service);
       trial.valid_mape = ScoreTrial(ds, valid, &client);

@@ -130,8 +130,8 @@ class DirectCostModel : public CostModelClient {
 // out zero-copy in ONE bulk enqueue (SubmitBorrowedBatch: one queue lock, one
 // worker wake-up, population-sized batches with no batch-window wait);
 // ScoreBatch waits out every future before returning, which is exactly the
-// borrowed-lifetime contract. Pair it with ServeOptions::batch_window_ms = 0
-// — the bulk enqueue already forms full batches, so the window only adds
+// borrowed-lifetime contract. The default ServeOptions suit it: the bulk
+// enqueue already forms full batches, so a batch window > 0 would only add
 // sleep.
 // Thread-compatible: the service is thread-safe, but one ServeCostModel's
 // stats are not; use one client per search driver.

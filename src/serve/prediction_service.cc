@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
+#include "src/device/device.h"
 #include "src/support/check.h"
 
 namespace cdmpp {
@@ -18,6 +22,13 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 double MsBetween(std::chrono::steady_clock::time_point t0,
                  std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+template <typename Error>
+std::future<double> FailedFuture(const Error& error) {
+  std::promise<double> failed;
+  failed.set_exception(std::make_exception_ptr(error));
+  return failed.get_future();
 }
 
 }  // namespace
@@ -105,8 +116,20 @@ void PredictionService::StatsLoggerLoop() {
 bool PredictionService::BuildRequest(const CompactAst& ast, int device_id, bool copy_ast,
                                      Request* req, std::future<double>* ready) {
   const auto t0 = std::chrono::steady_clock::now();
-  CDMPP_CHECK(ast.num_leaves > 0);
-  CacheKey key{ast.Hash(), DeviceById(device_id).Fingerprint()};
+  // Boundary checks fail this request's future instead of aborting; they
+  // replace the checks DeviceById would otherwise make, so valid requests
+  // pay nothing extra.
+  if (ast.num_leaves <= 0) {
+    *ready = FailedFuture(std::invalid_argument("CompactAst has no leaves"));
+    return false;
+  }
+  const std::vector<DeviceSpec>& devices = DeviceRegistry();
+  if (device_id < 0 || device_id >= static_cast<int>(devices.size())) {
+    *ready = FailedFuture(std::invalid_argument("device_id " + std::to_string(device_id) +
+                                                " is not in the device registry"));
+    return false;
+  }
+  CacheKey key{ast.Hash(), devices[static_cast<size_t>(device_id)].Fingerprint()};
   // Sampling decision up front so the cache-hit fast path is traceable too.
   // With sampling off (the default) this is one relaxed load and a branch.
   const bool traced = obs::TraceCollector::Global().ShouldSample();
@@ -152,7 +175,9 @@ std::future<double> PredictionService::Submit(const CompactAst& ast, int device_
   std::future<double> result = req.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    CDMPP_CHECK_MSG(!stop_, "Submit after Shutdown");
+    if (stop_) {
+      return FailedFuture(std::logic_error("Submit after Shutdown"));
+    }
     queue_.push_back(std::move(req));
   }
   queue_cv_.notify_one();
@@ -180,7 +205,14 @@ std::vector<std::future<double>> PredictionService::SubmitBorrowedBatch(
   if (!pending.empty()) {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      CDMPP_CHECK_MSG(!stop_, "SubmitBorrowedBatch after Shutdown");
+      if (stop_) {
+        const std::exception_ptr error =
+            std::make_exception_ptr(std::logic_error("SubmitBorrowedBatch after Shutdown"));
+        for (Request& req : pending) {
+          req.promise.set_exception(error);
+        }
+        return futures;
+      }
       for (Request& req : pending) {
         queue_.push_back(std::move(req));
       }
@@ -225,12 +257,14 @@ void PredictionService::WorkerLoop() {
       if (queue_.empty()) {
         return;  // stop_ set and nothing left to drain
       }
-      // Give concurrent submitters a short window to fill the batch. A plain
-      // unlocked sleep, deliberately not a condition wait: every Submit
-      // notifies the queue, and re-checking a wait predicate per notification
-      // costs a wakeup per request — exactly the per-request overhead
-      // batching exists to amortize. Shutdown latency is bounded by the
-      // window, which is sub-millisecond in practice.
+      // Dispatch on arrival by default (batch_window_ms == 0): take whatever
+      // has queued and run it now. Under load, batches still fill from the
+      // requests that queued while every worker was busy, and a drain of
+      // fewer than four rows runs inline, so a small batch wakes no pool
+      // threads. A window > 0 holds a partial batch that long, as a plain
+      // unlocked sleep rather than a condition wait: every Submit notifies
+      // the queue, and a condition wait would wake once per request.
+      // Shutdown latency is bounded by the window.
       if (options_.batch_window_ms > 0.0 && !stop_ &&
           static_cast<int>(queue_.size()) < options_.max_batch_size) {
         lock.unlock();

@@ -59,10 +59,11 @@ struct ServeOptions {
   // Upper bound on requests drained per worker wake-up; buckets inside a
   // drain are additionally chunked to the predictor's config batch size.
   int max_batch_size = 64;
-  // After the first pending request, a worker waits up to this long for more
-  // requests to accumulate before running the forward pass. 0 disables the
-  // window (every request is served as soon as a worker is free).
-  double batch_window_ms = 0.2;
+  // 0 (the default) dispatches on arrival: a woken worker drains whatever has
+  // queued and runs it at once, so under load batches fill from the requests
+  // that queued while every worker was busy. > 0 holds a partial batch (fewer
+  // than max_batch_size queued) this long before draining it.
+  double batch_window_ms = 0.0;
   bool enable_cache = true;
   size_t cache_capacity = 1 << 16;
   int cache_shards = 16;
@@ -89,6 +90,15 @@ class PredictionService {
   // Asynchronous prediction. The future resolves to the predicted latency in
   // seconds — immediately on a cache hit, after a batched forward pass
   // otherwise. Thread-safe; callable from any number of client threads.
+  //
+  // Errors split by who made them. A bad request fails its own future, and
+  // the service keeps serving: get() throws std::invalid_argument for an AST
+  // with num_leaves <= 0 or a device_id outside [0, DeviceRegistry().size()),
+  // and std::logic_error for a request that needs a worker after Shutdown
+  // (a cache hit needs none and still resolves). Programmer errors in wiring
+  // the service up abort through CDMPP_CHECK: the constructor's checks, and
+  // SubmitBorrowedBatch's size mismatch and null AST pointers. Features are
+  // not scanned per request; a non-finite feature is not detected.
   std::future<double> Submit(const CompactAst& ast, int device_id);
 
   // Bulk zero-copy variant of Submit for population-scoring clients
@@ -105,7 +115,8 @@ class PredictionService {
   //     immediately, so population-sized forwards form with no batch-window
   //     wait and no per-request notify/wake churn.
   // Same semantics per request otherwise: cache fast path, coalescing,
-  // leaf-count-bucketed batching. futures[i] corresponds to (asts[i],
+  // leaf-count-bucketed batching, and Submit's error split (an invalid
+  // request fails only its own future). futures[i] corresponds to (asts[i],
   // device_ids[i]).
   std::vector<std::future<double>> SubmitBorrowedBatch(
       const std::vector<const CompactAst*>& asts, const std::vector<int>& device_ids);
@@ -115,7 +126,8 @@ class PredictionService {
   double Predict(const CompactAst& ast, int device_id);
 
   // Drains outstanding requests, then stops the workers. Idempotent; also
-  // run by the destructor. Submit must not be called afterwards.
+  // run by the destructor. Requests submitted afterwards that miss the cache
+  // fail with std::logic_error.
   void Shutdown();
 
   // Re-derives the predictor's int8 calibration snapshots (encoder, device
@@ -162,10 +174,10 @@ class PredictionService {
     bool traced = false;
   };
 
-  // Builds one request (or resolves it straight from the cache, returning an
-  // already-satisfied future in *ready). Shared by Submit and
-  // SubmitBorrowedBatch; `copy_ast` selects owned vs borrowed AST storage.
-  // Returns true if the request must be enqueued (written to *req).
+  // Builds one request (or resolves it straight from the cache, or fails it as
+  // invalid, returning an already-satisfied future in *ready). Shared by
+  // Submit and SubmitBorrowedBatch; `copy_ast` selects owned vs borrowed AST
+  // storage. Returns true if the request must be enqueued (written to *req).
   bool BuildRequest(const CompactAst& ast, int device_id, bool copy_ast, Request* req,
                     std::future<double>* ready);
   void WorkerLoop();

@@ -188,9 +188,6 @@ ServeOptions TuningServeOptions() {
   ServeOptions opts;
   opts.num_workers = 2;
   opts.max_batch_size = 64;
-  // The client bulk-enqueues whole populations; a batch window would only
-  // add sleep (see ServeCostModel).
-  opts.batch_window_ms = 0.0;
   opts.enable_cache = true;
   return opts;
 }

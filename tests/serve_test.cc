@@ -8,11 +8,14 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/device/device.h"
 #include "src/serve/prediction_service.h"
 #include "src/support/cpu_features.h"
 #include "src/support/parallel_for.h"
@@ -302,6 +305,85 @@ TEST(ServeTest, DuplicateInFlightRequestsCoalesce) {
   // land in one drain, but a 50ms window makes near-total coalescing typical).
   EXPECT_GT(stats.coalesced, 0u);
   EXPECT_LT(stats.batched_rows, static_cast<uint64_t>(kDuplicates));
+
+  // Without a window, batches form from backlog: SubmitBorrowedBatch enqueues
+  // the whole population under one lock before its single wake-up, so the
+  // one worker drains all of it at once and the counts are exact.
+  ServeOptions dispatch_opts;
+  dispatch_opts.num_workers = 1;
+  dispatch_opts.enable_cache = false;
+  PredictionService dispatch(w.predictor.get(), dispatch_opts);
+  std::vector<const CompactAst*> asts(kDuplicates, &w.workload.front());
+  std::set<uint64_t> seen = {w.workload.front().Hash()};
+  for (const CompactAst& ast : w.workload) {
+    if (asts.size() < 2 * kDuplicates && seen.insert(ast.Hash()).second) {
+      asts.push_back(&ast);
+    }
+  }
+  ASSERT_EQ(asts.size(), 2u * kDuplicates);
+  std::vector<std::future<double>> batch_futures =
+      dispatch.SubmitBorrowedBatch(asts, std::vector<int>(asts.size(), 0));
+  for (auto& f : batch_futures) {
+    f.get();
+  }
+  ServerStatsSnapshot dispatch_stats = dispatch.Stats();
+  EXPECT_EQ(dispatch_stats.coalesced, static_cast<uint64_t>(kDuplicates - 1));
+  EXPECT_EQ(dispatch_stats.batched_rows, static_cast<uint64_t>(kDuplicates + 1));
+}
+
+// Boundary errors fail the offending request's future and leave the service
+// serving; they never abort the process.
+TEST(ServeTest, InvalidRequestsFailTheirFutures) {
+  ServeWorld& w = World();
+  const CompactAst& valid = w.workload.front();
+  const int num_devices = static_cast<int>(DeviceRegistry().size());
+  CompactAst leafless = valid;
+  leafless.num_leaves = 0;
+  // A population of eight with one out-of-range device in the middle.
+  std::vector<const CompactAst*> asts;
+  std::vector<int> devices;
+  std::vector<double> expected;
+  for (size_t i = 0; i < 8; ++i) {
+    asts.push_back(&w.workload[i]);
+    devices.push_back(static_cast<int>(i) % num_devices);
+    expected.push_back(w.predictor->PredictAst(w.workload[i], devices.back()));
+  }
+  devices[3] = num_devices + 5;
+  const double expected_valid = w.predictor->PredictAst(valid, 0);
+  const double expected_after = w.predictor->PredictAst(w.workload[8], 0);
+
+  ServeOptions opts;
+  opts.num_workers = 1;
+  opts.precision = Precision::kFp32;  // expectations come from PredictAst
+  opts.enable_cache = false;          // every valid request needs a worker
+  PredictionService service(w.predictor.get(), opts);
+
+  EXPECT_THROW(service.Submit(leafless, 0).get(), std::invalid_argument);
+  EXPECT_THROW(service.Submit(valid, -1).get(), std::invalid_argument);
+  EXPECT_THROW(service.Submit(valid, num_devices).get(), std::invalid_argument);
+  EXPECT_THROW(service.Predict(valid, num_devices), std::invalid_argument);
+  EXPECT_EQ(service.Predict(valid, 0), expected_valid);
+
+  // One invalid request in a population fails alone; the others are served
+  // bitwise as PredictAst computes them.
+  std::vector<std::future<double>> futures = service.SubmitBorrowedBatch(asts, devices);
+  for (size_t i = 0; i < futures.size(); ++i) {
+    if (i == 3) {
+      EXPECT_THROW(futures[i].get(), std::invalid_argument);
+    } else {
+      EXPECT_EQ(futures[i].get(), expected[i]) << "request " << i;
+    }
+  }
+  EXPECT_EQ(service.Predict(w.workload[8], 0), expected_after);
+
+  // After Shutdown, requests that need a worker fail instead of aborting.
+  service.Shutdown();
+  EXPECT_THROW(service.Submit(w.workload[9], 0).get(), std::logic_error);
+  std::vector<std::future<double>> late =
+      service.SubmitBorrowedBatch({&w.workload[10], &w.workload[11]}, {0, 0});
+  for (auto& f : late) {
+    EXPECT_THROW(f.get(), std::logic_error);
+  }
 }
 
 TEST(ServeTest, BatchingDeliversHigherQpsThanBatchSizeOne) {

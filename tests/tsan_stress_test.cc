@@ -19,7 +19,8 @@
 //   * 1-in-2 trace sampling, so ScopedTraceBinding/ScopedSpan/Emit run hot,
 // all under a deliberately small 3-thread global ThreadPool so intra-request
 // ParallelFor forking, lease traffic, and worker-level batching fight over
-// the same workers instead of spreading out.
+// the same workers instead of spreading out. It runs twice: with the default
+// dispatch on arrival and with a short batch window.
 //
 // The pinned contract: every future resolves to the bitwise-exact value the
 // active precision's direct forward computes, no matter how the interleaving
@@ -31,6 +32,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -160,14 +162,15 @@ TEST(TsanStressTest, RecalibrateFromUnchangedParamsIsBitwiseInvisible) {
   }
 }
 
-TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
+// One stress run with the given batch window.
+void StressServe(double batch_window_ms) {
   StressWorld& w = World();
   ScopedGlobalPool pool(3);      // small: forking + leases contend for real
   ScopedTraceSampling trace(2);  // every other request runs the trace plumbing
 
   ServeOptions opts;
   opts.num_workers = 3;
-  opts.batch_window_ms = 0.05;
+  opts.batch_window_ms = batch_window_ms;
   opts.cache_capacity = 64;  // small enough that churn forces LRU evictions
   opts.cache_shards = 4;
   PredictionService service(w.predictor.get(), opts);
@@ -257,6 +260,15 @@ TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
   service.Shutdown();
   ServerStatsSnapshot final_snap = service.Stats();
   EXPECT_LE(final_snap.cache_hits, final_snap.requests);
+}
+
+TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
+  // Dispatch on arrival (the default) and a short batch window take different
+  // paths through the worker loop; both run under the same interference.
+  for (const double window_ms : {ServeOptions().batch_window_ms, 0.05}) {
+    SCOPED_TRACE("batch_window_ms = " + std::to_string(window_ms));
+    StressServe(window_ms);
+  }
 }
 
 // The stealing scheduler under maximal interference: several concurrent
