@@ -94,7 +94,7 @@ TEST(PredictorTest, PredictAstMatchesPredictOnSameProgram) {
   double via_sample = predictor.Predict(ds, {idx})[0];
   double via_ast =
       predictor.PredictAst(ds.programs[static_cast<size_t>(s.program_index)].ast, s.device_id);
-  EXPECT_NEAR(via_sample, via_ast, 1e-9 + 1e-4 * via_sample);
+  EXPECT_EQ(via_sample, via_ast);
 }
 
 TEST(PredictorTest, CmdFinetuneReducesLatentDiscrepancy) {

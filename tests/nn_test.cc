@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -240,6 +242,78 @@ TEST(TransformerTest, StackedEncoderInputGradient) {
       EXPECT_NEAR(dx.At(i, j), numeric, 0.05 * std::max(1.0, std::abs(numeric)));
     }
   }
+}
+
+void ExpectSameBits(const Matrix& train, const Matrix& infer, const char* what) {
+  ASSERT_EQ(train.rows(), infer.rows()) << what;
+  ASSERT_EQ(train.cols(), infer.cols()) << what;
+  EXPECT_EQ(std::memcmp(train.data(), infer.data(), train.size() * sizeof(float)), 0) << what;
+}
+
+// A layer's training forward, run over row shards into its caches, and its
+// arena inference forward give the same bits: the two callers share one
+// forward body per layer. Attention and the encoder shard on whole samples.
+TEST(ForwardBodyTest, TrainingRowShardsMatchArenaInferenceBitwise) {
+  Rng rng(61);
+  constexpr int kSeqLen = 3;
+  constexpr int kRows = 5 * kSeqLen;
+  constexpr int kDim = 16;
+  const std::vector<int> row_cuts = {0, 4, 9, kRows};
+  const std::vector<int> sample_cuts = {0, 2 * kSeqLen, kRows};
+  const Matrix x = RandomMatrix(kRows, kDim, &rng);
+  Workspace scratch;
+  // Runs fwd(r0, r1) over each shard in turn; returns the last shard's result.
+  auto shards = [&](const std::vector<int>& cuts, auto&& fwd) {
+    const Matrix* y = nullptr;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      scratch.Reset();
+      y = &fwd(cuts[i], cuts[i + 1]);
+    }
+    return y;
+  };
+
+  Linear linear(kDim, 12, &rng);
+  linear.BeginStep(kRows);
+  const Matrix* y = shards(row_cuts, [&](int r0, int r1) -> const Matrix& {
+    return linear.ForwardRows(x, r0, r1);
+  });
+  Workspace ws;
+  ExpectSameBits(*y, *linear.ForwardInference(x, &ws), "Linear");
+
+  LayerNorm norm(kDim);
+  norm.BeginStep(kRows);
+  y = shards(row_cuts, [&](int r0, int r1) -> const Matrix& {
+    return norm.ForwardRows(x, r0, r1);
+  });
+  ExpectSameBits(*y, *norm.ForwardInference(x, &ws), "LayerNorm");
+
+  Mlp mlp({kDim, 24, 8, 4}, &rng);
+  mlp.BeginStep(kRows);
+  y = shards(row_cuts, [&](int r0, int r1) -> const Matrix& {
+    return mlp.ForwardRows(x, r0, r1);
+  });
+  ExpectSameBits(*y, *mlp.ForwardInference(x, &ws), "Mlp");
+
+  MultiHeadSelfAttention attn(kDim, 4, &rng);
+  attn.BeginStep(kRows, kSeqLen);
+  y = shards(sample_cuts, [&](int r0, int r1) -> const Matrix& {
+    return attn.ForwardRows(x, r0, r1, &scratch);
+  });
+  ExpectSameBits(*y, *attn.ForwardInference(x, kSeqLen, &ws), "attention");
+
+  TransformerEncoderLayer layer(kDim, 2, 32, &rng);
+  layer.BeginStep(kRows, kSeqLen);
+  y = shards(sample_cuts, [&](int r0, int r1) -> const Matrix& {
+    return layer.ForwardRows(x, r0, r1, &scratch);
+  });
+  ExpectSameBits(*y, *layer.ForwardInference(x, kSeqLen, &ws), "encoder layer");
+
+  TransformerEncoder enc(kDim, 2, 32, /*num_layers=*/2, &rng);
+  enc.BeginStep(kRows, kSeqLen);
+  y = shards(sample_cuts, [&](int r0, int r1) -> const Matrix& {
+    return enc.ForwardRows(x, r0, r1, &scratch);
+  });
+  ExpectSameBits(*y, *enc.ForwardInference(x, kSeqLen, &ws), "2-layer encoder");
 }
 
 TEST(LstmTest, GradientCheck) {
