@@ -9,7 +9,7 @@
 // the GEMM one. The serving precision comes from the ServeOptions default,
 // i.e. the CDMPP_PRECISION environment override — the int8 CI leg measures
 // the quantized serving path with no bench-side changes. A precision A/B
-// series (fp32 / int8-heads / int8 on the batched config) additionally
+// series (fp32 / int8 on the batched config) additionally
 // records each mode's QPS and int8_flop_fraction — the share of GEMM FLOPs
 // the int8 tier served, from the per-precision data-plane counters — and
 // gates that the int8 encoder tier (a) beats fp32 batched QPS on AVX2 hosts
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
   std::printf("\nBatched serving: %.2fx the QPS of one-forward-per-request.\n",
               r_batched.qps / r_single.qps);
 
-  // ---- Precision A/B: fp32 vs int8-heads vs int8 on the batched config. ----
+  // ---- Precision A/B: fp32 vs int8 on the batched config. ----
   // One run per mode for the series (QPS + which share of GEMM FLOPs the
   // int8 tier served), then an interleaved best-of-pairs fp32-vs-int8
   // comparison for the throughput gate — single runs on a shared runner
@@ -270,9 +270,7 @@ int main(int argc, char** argv) {
   };
   std::vector<PrecisionRecord> precision_records;
   const std::vector<std::pair<const char*, Precision>> precision_modes = {
-      {"fp32", Precision::kFp32},
-      {"int8-heads", Precision::kInt8Heads},
-      {"int8", Precision::kInt8}};
+      {"fp32", Precision::kFp32}, {"int8", Precision::kInt8}};
   for (const auto& [name, mode] : precision_modes) {
     ServeOptions opts = batched;
     opts.precision = mode;

@@ -38,12 +38,6 @@ void PackSampleRows(const Matrix& x, int seq_len, int s0, int s1, Matrix* out) {
   }
 }
 
-void PackRowsInto(const Matrix& x, int batch, int seq_len, Matrix* out) {
-  CDMPP_CHECK(x.rows() == batch * seq_len);
-  CDMPP_CHECK(out->rows() == batch && out->cols() == seq_len * x.cols());
-  PackSampleRows(x, seq_len, 0, batch, out);
-}
-
 // Runs fn(scratch, s0, s1) over contiguous sample shards [s0, s1) of a
 // `batch`-sample step as ONE parallel region. Each shard gets a private
 // scratch arena leased from the global pool; GEMMs and other ParallelFor
@@ -454,7 +448,9 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
   return stats;
 }
 
-std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
+std::vector<double> CdmppPredictor::PredictSamples(const Dataset& ds,
+                                                   const std::vector<int>& indices,
+                                                   Matrix* z) {
   CDMPP_CHECK(fitted_);
   EnsureHeads(ds, indices);
   AstBatchView view;
@@ -471,9 +467,13 @@ std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector
   Workspace ws;
   WorkspacePool shard_arenas;
   std::vector<double> out(indices.size(), 0.0);
-  PredictBatchedImpl(view, &ws, out.data(), /*num_forward_passes=*/nullptr, Precision::kFp32,
-                     &shard_arenas);
+  PredictBatchedImpl(view, &ws, out.data(), /*num_forward_passes=*/nullptr, /*quantized=*/false,
+                     &shard_arenas, z);
   return out;
+}
+
+std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
+  return PredictSamples(ds, indices, /*z=*/nullptr);
 }
 
 double CdmppPredictor::PredictAst(const CompactAst& ast, int device_id) {
@@ -511,8 +511,7 @@ void CdmppPredictor::PrepareQuantizedInference() {
   // The decoder's final [*, 1] projection stays fp32: its absolute noise
   // hits the transformed label directly (see QuantizedMlp in quantize.h).
   q_decoder_ = std::make_unique<QuantizedMlp>(*decoder_, /*num_fp32_tail_layers=*/1);
-  // Encoder weight GEMMs (the bulk of serving FLOPs); used by Precision::kInt8,
-  // skipped by kInt8Heads at forward time.
+  // Encoder weight GEMMs (the bulk of serving FLOPs).
   q_encoder_ = std::make_unique<QuantizedTransformerEncoder>(*encoder_);
 }
 
@@ -557,7 +556,7 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
 
 void CdmppPredictor::PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                                     uint64_t* num_forward_passes) const {
-  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kFp32,
+  PredictBatchedImpl(view, ws, out, num_forward_passes, /*quantized=*/false,
                      &WorkspacePool::Global());
 }
 
@@ -568,7 +567,8 @@ void CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view, Workspace
                   "int8 serving before PrepareQuantizedInference()");
   CDMPP_CHECK_MSG(mode != Precision::kFp32,
                   "PredictBatchedQuantized called with fp32 mode; use PredictBatched");
-  PredictBatchedImpl(view, ws, out, num_forward_passes, mode, &WorkspacePool::Global());
+  PredictBatchedImpl(view, ws, out, num_forward_passes, /*quantized=*/true,
+                     &WorkspacePool::Global());
 }
 
 std::vector<double> CdmppPredictor::PredictBatchedQuantized(
@@ -640,8 +640,8 @@ double ForwardFlopsPerToken(const PredictorConfig& c) {
 }  // namespace
 
 void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                                        uint64_t* num_forward_passes, Precision mode,
-                                        WorkspacePool* shard_pool) const {
+                                        uint64_t* num_forward_passes, bool quantized,
+                                        WorkspacePool* shard_pool, Matrix* z) const {
   CDMPP_CHECK(fitted_);
   CDMPP_CHECK(view.asts.size() == view.device_ids.size());
   if (view.size() == 0) {
@@ -693,7 +693,8 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
       // region, GEMMs large enough still fork their row panels.
       for (; bi < wave_end; ++bi) {
         const Batch& b = plan.batch(bi);
-        ForwardShard(view, b, 0, static_cast<int>(b.sample_indices.size()), mode, ws, out);
+        ForwardShard(view, b, 0, static_cast<int>(b.sample_indices.size()), quantized, ws, out,
+                     z);
       }
       wave_end = wave_begin;
       continue;
@@ -735,7 +736,7 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
       for (int64_t g = shard_begin[static_cast<size_t>(j0)];
            g < shard_begin[static_cast<size_t>(j1)]; ++g) {
         const Segment& seg = segments[static_cast<size_t>(g)];
-        ForwardShard(view, *seg.batch, seg.s0, seg.s1, mode, scratch, out);
+        ForwardShard(view, *seg.batch, seg.s0, seg.s1, quantized, scratch, out, z);
       }
     };
     ShardArenas arenas(ws, shard_pool);
@@ -760,8 +761,8 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
 }
 
 void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                                  Precision mode, Workspace* ws, double* out) const {
-  const bool quantized = mode != Precision::kFp32;
+                                  bool quantized, Workspace* ws, double* out,
+                                  Matrix* z_out) const {
   const int b = s1 - s0;
   const int l = batch.seq_len;
   auto head_it = leaf_heads_.find(l);
@@ -792,17 +793,17 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
   {
     obs::ScopedSpan span(obs::Stage::kEncoder);
     // The input projection stays fp32 in every mode (its quantization noise
-    // would feed the whole stack for ~1% of model FLOPs); kInt8 swaps the
-    // encoder stack for its quantized snapshot, kInt8Heads keeps it fp32.
+    // would feed the whole stack for ~1% of model FLOPs); int8 swaps the
+    // encoder stack for its quantized snapshot.
     Matrix* proj = input_proj_->ForwardInference(*x, ws);
-    h = mode == Precision::kInt8 ? q_encoder_->ForwardInference(*proj, l, ws)
-                                 : encoder_->ForwardInference(*proj, l, ws);
+    h = quantized ? q_encoder_->ForwardInference(*proj, l, ws)
+                  : encoder_->ForwardInference(*proj, l, ws);
   }
   Matrix* zx = nullptr;
   {
     obs::ScopedSpan span(obs::Stage::kHeads);
     Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
-    PackRowsInto(*h, b, l, packed);
+    PackSampleRows(*h, l, 0, b, packed);
     zx = quantized ? q_head->ForwardInference(*packed, ws)
                    : head_it->second->ForwardInference(*packed, ws);
   }
@@ -827,6 +828,10 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
       }
       for (int j = 0; j < config_.device_embed_dim; ++j) {
         row[config_.z_dim + j] = zv->At(i, j);
+      }
+      if (z_out != nullptr) {
+        std::copy(row, row + z->cols(),
+                  z_out->Row(batch.sample_indices[static_cast<size_t>(s0 + i)]));
       }
     }
     preds = quantized ? q_decoder_->ForwardInference(*z, ws)
@@ -884,26 +889,9 @@ EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& in
 }
 
 Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& indices) {
-  CDMPP_CHECK(fitted_);
-  EnsureHeads(ds, indices);
-  Matrix out(static_cast<int>(indices.size()), config_.z_dim + config_.device_embed_dim);
-  std::map<int, std::vector<size_t>> positions;
-  for (size_t i = 0; i < indices.size(); ++i) {
-    positions[indices[i]].push_back(i);
-  }
-  auto buckets = GroupByLeafCount(ds, indices);
-  std::vector<Batch> batches = MakeBatches(buckets, config_.batch_size, /*rng=*/nullptr);
-  for (const Batch& batch : batches) {
-    ForwardPass(ds, batch);
-    for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
-      for (size_t pos : positions[batch.sample_indices[i]]) {
-        std::copy(z_.Row(static_cast<int>(i)), z_.Row(static_cast<int>(i)) + out.cols(),
-                  out.Row(static_cast<int>(pos)));
-      }
-    }
-  }
-  ReleaseStepCaches();
-  return out;
+  Matrix z(static_cast<int>(indices.size()), config_.z_dim + config_.device_embed_dim);
+  PredictSamples(ds, indices, &z);
+  return z;
 }
 
 }  // namespace cdmpp

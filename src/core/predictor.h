@@ -147,22 +147,19 @@ class CdmppPredictor {
   void PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                       uint64_t* num_forward_passes = nullptr) const;
 
-  // ---- Int8 quantized serving path (CDMPP_PRECISION=int8|int8-heads) -------
+  // ---- Int8 quantized serving path (CDMPP_PRECISION=int8) ------------------
   //
   // PredictBatchedQuantized is PredictBatched with the weight GEMMs routed
   // through the int8 symmetric-quantized kernel tier (src/nn/quantize.h):
   // int8 GEMMs with per-output-channel weight scales and dynamic per-row
-  // activation scales. `mode` selects the coverage:
-  //   * Precision::kInt8 (the default tier): the transformer encoder's
-  //     QKV/output projections and FFN pair (the bulk of serving FLOPs, with
-  //     per-channel activation scales derived from the LayerNorms — see
-  //     QuantizedTransformerEncoder), plus the per-leaf-count heads, the
-  //     device MLP, and the decoder hiddens.
-  //   * Precision::kInt8Heads: the pre-encoder subset (heads + device MLP +
-  //     decoder hiddens), kept for A/B-measuring the encoder conversion.
-  // In both modes three fringes stay fp32, each from a measured
-  // accuracy/throughput trade: attention's activation×activation
-  // score/context GEMMs (both operands dynamic — ROADMAP follow-on), the
+  // activation scales, covering the transformer encoder's QKV/output
+  // projections and FFN pair (the bulk of serving FLOPs, with per-channel
+  // activation scales derived from the LayerNorms — see
+  // QuantizedTransformerEncoder), plus the per-leaf-count heads, the device
+  // MLP, and the decoder hiddens. `mode` must be Precision::kInt8. Three
+  // fringes stay fp32, each from a measured accuracy/throughput trade:
+  // attention's activation×activation score/context GEMMs (both operands
+  // dynamic — ROADMAP follow-on), the
   // input projection (its quantization noise feeds the whole encoder stack
   // while its GEMM is ~1% of model FLOPs), and the decoder's final [*, 1]
   // projection (absolute noise there lands directly on the transformed label
@@ -202,7 +199,8 @@ class CdmppPredictor {
 
   EvalStats Evaluate(const Dataset& ds, const std::vector<int>& indices);
 
-  // Latent representations z = z_x (+) z_v, one row per sample.
+  // Latent representations z = z_x (+) z_v, one row per sample, from the
+  // same const forward as Predict.
   Matrix EncodeLatent(const Dataset& ds, const std::vector<int>& indices);
 
   const PredictorConfig& config() const { return config_; }
@@ -225,22 +223,27 @@ class CdmppPredictor {
   // heads in step_heads_ among the per-leaf-count heads.
   void CollectAllParams(std::vector<Param*>* out, bool step_heads_only = false);
 
-  // Shared serving forward: the fp32 and both int8 modes differ only in
-  // which layer snapshots run the weight-GEMM stages (`mode` selects encoder
-  // coverage on top of the heads/device-MLP/decoder swap). The leaf-count
-  // plan is drained in waves of at most config().batch_size rows; each wave
-  // runs as one parallel region over row shards (README "Threading model").
-  // The first shard runs in `ws`, the others in arenas leased from
-  // `shard_pool`.
+  // Predict on dataset samples, in call-local arenas; with `z`, also
+  // EncodeLatent's latents, one row per sample.
+  std::vector<double> PredictSamples(const Dataset& ds, const std::vector<int>& indices,
+                                     Matrix* z);
+  // Shared serving forward: fp32 and int8 differ only in which layer
+  // snapshots run the weight-GEMM stages. The leaf-count plan is drained in
+  // waves of at most config().batch_size rows; each wave runs as one
+  // parallel region over row shards (README "Threading model"). The first
+  // shard runs in `ws`, the others in arenas leased from `shard_pool`. A
+  // non-null `z` ([view.size(), z_dim + device_embed_dim]) also receives
+  // each request's latent at its view position.
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                          uint64_t* num_forward_passes, Precision mode,
-                          WorkspacePool* shard_pool) const;
+                          uint64_t* num_forward_passes, bool quantized,
+                          WorkspacePool* shard_pool, Matrix* z = nullptr) const;
   // One row shard of the serving forward: samples [s0, s1) of `batch` run
   // featurize -> input projection -> encoder -> head, device MLP -> decoder
   // -> inverse transform with every op inline, in `ws` (Reset first), and
-  // write their predictions to `out` at their view positions.
+  // write their predictions to `out` (and latents to `z_out`, when non-null)
+  // at their view positions.
   void ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                    Precision mode, Workspace* ws, double* out) const;
+                    bool quantized, Workspace* ws, double* out, Matrix* z_out) const;
 
   // The training step, as a few parallel regions over contiguous sample
   // shards (README "Training step"; layer row primitives in src/nn/layers.h).
@@ -250,8 +253,8 @@ class CdmppPredictor {
   // z in z_ and the predictions in decoder_->output().
   void ForwardPass(const Dataset& ds, const Batch& batch);
   // Sizes every training cache for a b-sample, l-leaf step through `head`;
-  // ReleaseStepCaches frees them all (BeginStep(0)) once a training call or
-  // latent encoding is done, so an idle model holds only its parameters.
+  // ReleaseStepCaches frees them all (BeginStep(0)) once a training call is
+  // done, so an idle model holds only its parameters.
   void BeginStep(int b, int l, Linear* head);
   void ReleaseStepCaches();
   // BackwardPass runs one region of sample shards that carries the output

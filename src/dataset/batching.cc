@@ -6,6 +6,35 @@
 
 namespace cdmpp {
 
+namespace {
+
+// One sample's [seq_len, kFeatDim] feature rows, written from `dst` on: each
+// leaf's computation vector, standardized by `scaler` (may be null), then
+// the positional encoding added if `use_pe`. The dataset and view builders
+// differ only in where a sample's rows go.
+void LeafFeatureRowsInto(const CompactAst& ast, int seq_len, const StandardScaler* scaler,
+                         bool use_pe, double theta, float* dst) {
+  CDMPP_CHECK(ast.num_leaves == seq_len);
+  for (int t = 0; t < seq_len; ++t) {
+    float* row = dst + static_cast<size_t>(t) * kFeatDim;
+    const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
+    for (int j = 0; j < kFeatDim; ++j) {
+      row[j] = cv[static_cast<size_t>(j)];
+    }
+    if (scaler != nullptr) {
+      scaler->ApplyRow(row);
+    }
+    if (use_pe) {
+      ComputationVector pe = PositionalEncoding(ast.ordering[static_cast<size_t>(t)], theta);
+      for (int j = 0; j < kFeatDim; ++j) {
+        row[j] += pe[static_cast<size_t>(j)];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 std::map<int, std::vector<int>> GroupByLeafCount(const Dataset& ds,
                                                  const std::vector<int>& sample_indices) {
   std::map<int, std::vector<int>> buckets;
@@ -56,24 +85,8 @@ void BuildFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
               x->cols() == kFeatDim);
   for (int i = s0; i < s1; ++i) {
     const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    const CompactAst& ast = ds.programs[static_cast<size_t>(s.program_index)].ast;
-    CDMPP_CHECK(ast.num_leaves == l);
-    for (int t = 0; t < l; ++t) {
-      float* row = x->Row(i * l + t);
-      const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
-      for (int j = 0; j < kFeatDim; ++j) {
-        row[j] = cv[static_cast<size_t>(j)];
-      }
-      if (scaler != nullptr) {
-        scaler->ApplyRow(row);
-      }
-      if (use_pe) {
-        ComputationVector pe = PositionalEncoding(ast.ordering[static_cast<size_t>(t)], theta);
-        for (int j = 0; j < kFeatDim; ++j) {
-          row[j] += pe[static_cast<size_t>(j)];
-        }
-      }
-    }
+    LeafFeatureRowsInto(ds.programs[static_cast<size_t>(s.program_index)].ast, l, scaler, use_pe,
+                        theta, x->Row(i * l));
   }
 }
 
@@ -136,31 +149,14 @@ Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
 
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                             const StandardScaler* scaler, bool use_pe, double theta,
-                            Matrix* x_out) {
+                            Matrix* x) {
   const int l = batch.seq_len;
-  Matrix& x = *x_out;
   CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
-  CDMPP_CHECK(x.rows() == (s1 - s0) * l && x.cols() == kFeatDim);
+  CDMPP_CHECK(x->rows() == (s1 - s0) * l && x->cols() == kFeatDim);
   for (int i = s0; i < s1; ++i) {
     const CompactAst& ast =
         *view.asts[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    CDMPP_CHECK(ast.num_leaves == l);
-    for (int t = 0; t < l; ++t) {
-      float* row = x.Row((i - s0) * l + t);
-      const ComputationVector& cv = ast.leaves[static_cast<size_t>(t)];
-      for (int j = 0; j < kFeatDim; ++j) {
-        row[j] = cv[static_cast<size_t>(j)];
-      }
-      if (scaler != nullptr) {
-        scaler->ApplyRow(row);
-      }
-      if (use_pe) {
-        ComputationVector pe = PositionalEncoding(ast.ordering[static_cast<size_t>(t)], theta);
-        for (int j = 0; j < kFeatDim; ++j) {
-          row[j] += pe[static_cast<size_t>(j)];
-        }
-      }
-    }
+    LeafFeatureRowsInto(ast, l, scaler, use_pe, theta, x->Row((i - s0) * l));
   }
 }
 

@@ -9,37 +9,47 @@ namespace cdmpp {
 
 namespace {
 
-// The per-(sample, head) fp32 score/context loop shared verbatim by the fp32
-// and int8 attention forwards (only the Q/K/V/output *projections* differ
-// between the two tiers; the activation×activation GEMMs are identical).
-// q_all must already carry the folded 1/sqrt(d_head) softmax scale. Every
-// (sample, head) writes its own disjoint [seq_len, d_head] block of the
-// returned context, so no zero-fill or reduction is needed, and the result
-// of a sample does not depend on the other samples in the batch. The loop
-// runs inline: serving parallelism comes from the predictor's row shards,
-// one level up.
-Matrix* AttentionContext(const Matrix& q_all, const Matrix& k_all, const Matrix& v_all,
-                         int batch, int seq_len, int num_heads, int d_head, int d_model,
-                         Workspace* ws) {
-  Matrix* context = ws->NewMatrix(batch * seq_len, d_model);
-  Matrix* scores = ws->NewMatrix(seq_len, seq_len);
-  for (int b = 0; b < batch; ++b) {
+// The per-(sample, head) score/softmax/context loop every attention forward
+// runs (training, fp32 inference and the int8 mirror), over the samples of
+// rows [r0, r1) of the packed [rows, d_model] Q/K/V projections. Per head,
+// the 1/sqrt(d_head) softmax scale is folded into a scaled copy of the Q
+// block in `scratch` (one pass over [L, d_head] instead of over [L, L]
+// scores; Q itself stays unscaled, so the backward's dscores scale carries
+// the factor to both dq and dk), then scores = Q_scaled·Kᵀ with K read in
+// place, softmax, and the context block = scores·V. Scores go to `attn`
+// (sample b, head h at attn[b * num_heads + h]: the training cache) or, when
+// it is null, to one scratch block reused across heads. Every (sample, head)
+// writes a disjoint [L, d_head] block of `context`, so a sample's result
+// does not depend on the other samples in the batch. The loop runs inline:
+// parallelism comes from the row shards one level up.
+void AttentionContextRows(const Matrix& q, const Matrix& k, const Matrix& v, int r0, int r1,
+                          int seq_len, int num_heads, Matrix* attn, Workspace* scratch,
+                          Matrix* context) {
+  const int l = seq_len;
+  const int d_model = q.cols();
+  const int d_head = d_model / num_heads;
+  CDMPP_CHECK(r0 % l == 0 && r1 % l == 0);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head));
+  Matrix* q_scaled = scratch->NewMatrix(l, d_head);
+  Matrix* scores = attn == nullptr ? scratch->NewMatrix(l, l) : nullptr;
+  for (int b = r0 / l; b < r1 / l; ++b) {
     for (int h = 0; h < num_heads; ++h) {
-      const float* q = q_all.Row(b * seq_len) + h * d_head;
-      const float* k = k_all.Row(b * seq_len) + h * d_head;
-      const float* v = v_all.Row(b * seq_len) + h * d_head;
-      float* ctx = context->Row(b * seq_len) + h * d_head;
-      // scores = (Q/sqrt(d))·Kᵀ directly on the packed layout
-      // (lda/ldb = d_model).
-      kernels::GemmNT(seq_len, seq_len, d_head, q, d_model, k, d_model,
-                      /*beta=*/0.0f, scores->data(), seq_len);
-      SoftmaxRows(scores);
-      // context block = softmax(scores)·V, written in place.
-      kernels::GemmNN(seq_len, d_head, seq_len, scores->data(), seq_len, v, d_model,
-                      /*beta=*/0.0f, ctx, d_model);
+      const int col = h * d_head;
+      for (int t = 0; t < l; ++t) {
+        const float* src = q.Row(b * l + t) + col;
+        float* dst = q_scaled->Row(t);
+        for (int j = 0; j < d_head; ++j) {
+          dst[j] = src[j] * scale;
+        }
+      }
+      Matrix& s = attn != nullptr ? attn[static_cast<size_t>(b) * num_heads + h] : *scores;
+      kernels::GemmNT(l, l, d_head, q_scaled->data(), d_head, k.Row(b * l) + col, d_model,
+                      /*beta=*/0.0f, s.data(), l);
+      SoftmaxRows(&s);
+      kernels::GemmNN(l, d_head, l, s.data(), l, v.Row(b * l) + col, d_model, /*beta=*/0.0f,
+                      context->Row(b * l) + col, d_model);
     }
   }
-  return context;
 }
 
 }  // namespace
@@ -51,6 +61,26 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads, Rng* 
   wk_ = std::make_unique<Linear>(d_model, d_model, rng);
   wv_ = std::make_unique<Linear>(d_model, d_model, rng);
   wo_ = std::make_unique<Linear>(d_model, d_model, rng);
+}
+
+Matrix* MultiHeadSelfAttention::ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len,
+                                                const Dest& dest, Workspace* scratch) const {
+  // No-op unless the serving layer bound a sampled trace to this thread.
+  obs::ScopedSpan span(obs::Stage::kAttention);
+  CDMPP_CHECK(seq_len > 0 && x.cols() == d_model_);
+  wq_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.q);
+  wk_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.k);
+  wv_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.v);
+  AttentionContextRows(*dest.q, *dest.k, *dest.v, r0, r1, seq_len, num_heads_, dest.attn,
+                       scratch, dest.context);
+  wo_->ForwardRowsInto(*dest.context, r0, r1, kernels::Activation::kNone, dest.out);
+  return dest.out;
+}
+
+MultiHeadSelfAttention::Dest MultiHeadSelfAttention::ArenaDest(int rows, Workspace* ws) const {
+  return {ws->NewMatrix(rows, d_model_), ws->NewMatrix(rows, d_model_),
+          ws->NewMatrix(rows, d_model_), ws->NewMatrix(rows, d_model_),
+          ws->NewMatrix(rows, d_model_), nullptr};
 }
 
 void MultiHeadSelfAttention::BeginStep(int rows, int seq_len) {
@@ -69,38 +99,14 @@ void MultiHeadSelfAttention::BeginStep(int rows, int seq_len) {
   }
 }
 
+MultiHeadSelfAttention::Dest MultiHeadSelfAttention::CacheDest() {
+  return {&wq_->output(), &wk_->output(), &wv_->output(), &context_, &wo_->output(),
+          attn_.data()};
+}
+
 Matrix& MultiHeadSelfAttention::ForwardRows(const Matrix& x, int r0, int r1,
                                             Workspace* scratch) {
-  const int l = seq_len_;
-  CDMPP_CHECK(r0 % l == 0 && r1 % l == 0 && x.cols() == d_model_);
-  const Matrix& q = wq_->ForwardRows(x, r0, r1);
-  const Matrix& k = wk_->ForwardRows(x, r0, r1);
-  const Matrix& v = wv_->ForwardRows(x, r0, r1);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  Matrix* q_scaled = scratch->NewMatrix(l, d_head_);
-  for (int b = r0 / l; b < r1 / l; ++b) {
-    for (int h = 0; h < num_heads_; ++h) {
-      // The 1/sqrt(d_head) softmax scale is folded into a scaled copy of the
-      // Q block — one pass over [L, d_head] instead of a [L, L] scores pass,
-      // the formulation the inference path pins too, so the two stay bitwise
-      // equal. Q itself stays unscaled: the backward's dscores scale carries
-      // the factor to both dq and dk. K and V are read in place.
-      for (int t = 0; t < l; ++t) {
-        const float* src = q.Row(b * l + t) + h * d_head_;
-        float* dst = q_scaled->Row(t);
-        for (int j = 0; j < d_head_; ++j) {
-          dst[j] = src[j] * scale;
-        }
-      }
-      Matrix& attn = attn_[static_cast<size_t>(b) * num_heads_ + h];
-      kernels::GemmNT(l, l, d_head_, q_scaled->data(), d_head_, k.Row(b * l) + h * d_head_,
-                      d_model_, /*beta=*/0.0f, attn.data(), l);
-      SoftmaxRows(&attn);
-      kernels::GemmNN(l, d_head_, l, attn.data(), l, v.Row(b * l) + h * d_head_, d_model_,
-                      /*beta=*/0.0f, context_.Row(b * l) + h * d_head_, d_model_);
-    }
-  }
-  return wo_->ForwardRows(context_, r0, r1);
+  return *ForwardRowsInto(x, r0, r1, seq_len_, CacheDest(), scratch);
 }
 
 void MultiHeadSelfAttention::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
@@ -180,40 +186,15 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len) const {
-  // True wrapper over the arena path: one attention-inference implementation
-  // to keep bitwise-consistent (see src/nn/layers.h).
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
-}
-
 Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
                                                  Workspace* ws) const {
-  // No-op unless the serving layer bound a sampled trace to this thread.
-  obs::ScopedSpan span(obs::Stage::kAttention);
-  CDMPP_CHECK(seq_len > 0);
-  CDMPP_CHECK(x.rows() % seq_len == 0);
-  CDMPP_CHECK(x.cols() == d_model_);
-  const int batch = x.rows() / seq_len;
-
-  Matrix* q_all = wq_->ForwardInference(x, ws);
-  Matrix* k_all = wk_->ForwardInference(x, ws);
-  Matrix* v_all = wv_->ForwardInference(x, ws);
-
-  // Softmax scale folded into the Q operand (see Forward).
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  q_all->Scale(scale);
-
-  Matrix* context =
-      AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_, ws);
-  return wo_->ForwardInference(*context, ws);
+  return ForwardRowsInto(x, 0, x.rows(), seq_len, ArenaDest(x.rows(), ws), ws);
 }
 
 QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
     const MultiHeadSelfAttention& attn, const std::vector<float>& act_absmax)
     : d_model_(attn.d_model()),
       num_heads_(attn.num_heads()),
-      d_head_(attn.d_model() / attn.num_heads()),
       wo_(attn.wo()) {
   if (act_absmax.empty()) {
     // No static channel profile for the input (the encoder's first layer,
@@ -245,10 +226,7 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
                                                           Workspace* ws) const {
   // Same span discipline as the fp32 path.
   obs::ScopedSpan span(obs::Stage::kAttention);
-  CDMPP_CHECK(seq_len > 0);
-  CDMPP_CHECK(x.rows() % seq_len == 0);
-  CDMPP_CHECK(x.cols() == d_model_);
-  const int batch = x.rows() / seq_len;
+  CDMPP_CHECK(seq_len > 0 && x.rows() % seq_len == 0 && x.cols() == d_model_);
 
   // The three input projections share ONE quantization of x (the constructor
   // gave them identical folded column scales) with row-deterministic per-row
@@ -278,13 +256,10 @@ Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int s
     v_all = fp32_qkv_[2].ForwardInference(x, ws);
   }
 
-  // Softmax scale folded into the (dequantized fp32) Q operand, identical
-  // formulation to the fp32 path.
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  q_all->Scale(scale);
-
-  Matrix* context =
-      AttentionContext(*q_all, *k_all, *v_all, batch, seq_len, num_heads_, d_head_, d_model_, ws);
+  // The fp32 path's score/context loop on the dequantized fp32 projections.
+  Matrix* context = ws->NewMatrix(x.rows(), d_model_);
+  AttentionContextRows(*q_all, *k_all, *v_all, 0, x.rows(), seq_len, num_heads_,
+                       /*attn=*/nullptr, ws, context);
   return wo_.ForwardInference(*context, ws);
 }
 

@@ -19,10 +19,30 @@ class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int d_model, int num_heads, Rng* rng);
 
+  // Where the forward body writes (see src/nn/layers.h): [rows, d_model]
+  // projections, context and output, plus the per-(sample, head) softmax
+  // weights for training (null for inference).
+  struct Dest {
+    Matrix* q;
+    Matrix* k;
+    Matrix* v;
+    Matrix* context;
+    Matrix* out;
+    Matrix* attn;
+  };
+  // The forward body over rows [r0, r1), whole samples of `seq_len` rows.
+  // Per-head Q/K/V blocks are addressed in place inside the packed
+  // activations via the kernels' leading-dimension parameters; `scratch`
+  // backs the per-head blocks and must be private to the calling shard.
+  // Returns dest.out.
+  Matrix* ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len, const Dest& dest,
+                          Workspace* scratch) const;
+  Dest ArenaDest(int rows, Workspace* ws) const;
+
   // Training row primitives (see src/nn/layers.h). Row ranges cover whole
-  // samples (multiples of seq_len); `scratch` backs the per-(sample, head)
-  // blocks and must be private to the calling shard.
+  // samples (multiples of seq_len).
   void BeginStep(int rows, int seq_len);
+  Dest CacheDest();
   Matrix& ForwardRows(const Matrix& x, int r0, int r1, Workspace* scratch);
   Matrix& output_grad() { return wo_->output_grad(); }
   void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
@@ -31,15 +51,8 @@ class MultiHeadSelfAttention : public Module {
   // x: [batch * seq_len, d_model]. Returns the same shape.
   Matrix Forward(const Matrix& x, int seq_len);
   Matrix Backward(const Matrix& dy);
-  // Cache-free const forward (see src/nn/layers.h); attention weights are
-  // computed into locals and discarded.
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
-  // Hot path: per-head Q/K/V blocks are addressed in place inside the packed
-  // [batch*seq_len, d_model] activations via the kernels' leading-dimension
-  // parameters — zero block extraction copies. The per-(sample, head) blocks
-  // run inline, each writing a disjoint context block, and the output is
-  // bitwise identical for every CDMPP_NUM_THREADS value and batch split.
-  // All scratch comes from `ws`.
+  // Output and scratch from `ws`; bitwise identical for every
+  // CDMPP_NUM_THREADS value and batch split.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 
@@ -72,9 +85,9 @@ class MultiHeadSelfAttention : public Module {
 // output projection — run through the quantized kernel tier, while the
 // activation×activation score/context GEMMs stay fp32 (their operands are
 // both dynamic, a different quantization problem — ROADMAP follow-on). The
-// score/context block loop is the SAME code the fp32 path runs (shared
-// helper), and QKV quantization uses row-deterministic per-row scales, so
-// the quantized path keeps both bitwise invariance contracts.
+// score/context block loop is the one the fp32 path runs (attention.cc's
+// AttentionContextRows), and QKV quantization uses row-deterministic per-row
+// scales, so the quantized path keeps both bitwise invariance contracts.
 //
 // `act_absmax` is a data-free per-input-channel magnitude estimate for x
 // (from the preceding LayerNorm when there is one); non-empty enables the
@@ -106,7 +119,6 @@ class QuantizedMultiHeadSelfAttention {
  private:
   int d_model_;
   int num_heads_;
-  int d_head_;
   std::vector<QuantizedLinear> qkv_;  // {q, k, v} when a channel profile exists
   std::vector<Linear> fp32_qkv_;      // {q, k, v} fp32 copies otherwise
   QuantizedLinear wo_;

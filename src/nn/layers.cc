@@ -69,6 +69,18 @@ void RunGradTask(const GradTask& task) {
   }
 }
 
+void ReluBackwardRows(const Matrix& y, int r0, int r1, Matrix* d) {
+  for (int i = r0; i < r1; ++i) {
+    float* drow = d->Row(i);
+    const float* yrow = y.Row(i);
+    for (int j = 0; j < d->cols(); ++j) {
+      if (yrow[j] <= 0.0f) {
+        drow[j] = 0.0f;
+      }
+    }
+  }
+}
+
 // ---------------- Linear ----------------
 
 Linear::Linear(int in_dim, int out_dim, Rng* rng) {
@@ -76,10 +88,11 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng) {
   b_.InitZero(1, out_dim);
 }
 
-void Linear::ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) const {
-  CDMPP_CHECK(x.cols() == w_.value.rows());
-  kernels::GemmBiasAct(x.rows(), y->cols(), x.cols(), x.data(), x.cols(), w_.value.data(),
-                       w_.value.cols(), b_.value.data(), act, y->data(), y->cols());
+void Linear::ForwardRowsInto(const Matrix& x, int r0, int r1, kernels::Activation act,
+                             Matrix* y) const {
+  CDMPP_CHECK(x.cols() == in_dim() && y->cols() == out_dim());
+  kernels::GemmBiasAct(r1 - r0, out_dim(), in_dim(), x.Row(r0), x.cols(), w_.value.data(),
+                       w_.value.cols(), b_.value.data(), act, y->Row(r0), y->cols());
 }
 
 void Linear::BeginStep(int rows) {
@@ -88,12 +101,7 @@ void Linear::BeginStep(int rows) {
 }
 
 Matrix& Linear::ForwardRows(const Matrix& x, int r0, int r1) {
-  // ApplyLinear's fused kernel call over rows [r0, r1) only: the kernels are
-  // batch-size-invariant per row, so a shard's rows match the whole batch's.
-  CDMPP_CHECK(x.cols() == in_dim());
-  kernels::GemmBiasAct(r1 - r0, out_dim(), in_dim(), x.Row(r0), x.cols(), w_.value.data(),
-                       w_.value.cols(), b_.value.data(), kernels::Activation::kNone, y_.Row(r0),
-                       y_.cols());
+  ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, &y_);
   return y_;
 }
 
@@ -126,61 +134,16 @@ Matrix Linear::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Linear::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
 Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws,
                                  kernels::Activation act) const {
-  Matrix* y = ws->NewMatrix(x.rows(), w_.value.cols());
-  ApplyLinear(x, act, y);
+  Matrix* y = ws->NewMatrix(x.rows(), out_dim());
+  ForwardRowsInto(x, 0, x.rows(), act, y);
   return y;
 }
 
 void Linear::CollectParams(std::vector<Param*>* out) {
   out->push_back(&w_);
   out->push_back(&b_);
-}
-
-// ---------------- Relu ----------------
-
-const Matrix& Relu::ForwardRows(const Matrix& x, int r0, int r1) {
-  for (int i = r0; i < r1; ++i) {
-    const float* src = x.Row(i);
-    float* dst = y_.Row(i);
-    for (int j = 0; j < x.cols(); ++j) {
-      dst[j] = std::max(0.0f, src[j]);
-    }
-  }
-  return y_;
-}
-
-void Relu::BackwardRows(const Matrix& x, int r0, int r1, Matrix* d) {
-  for (int i = r0; i < r1; ++i) {
-    float* drow = d->Row(i);
-    const float* xrow = x.Row(i);
-    for (int j = 0; j < d->cols(); ++j) {
-      if (xrow[j] <= 0.0f) {
-        drow[j] = 0.0f;
-      }
-    }
-  }
-}
-
-Matrix Relu::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
-Matrix* Relu::ForwardInference(const Matrix& x, Workspace* ws) const {
-  Matrix* y = ws->NewMatrix(x.rows(), x.cols());
-  const float* src = x.data();
-  float* dst = y->data();
-  for (size_t i = 0; i < x.size(); ++i) {
-    dst[i] = std::max(0.0f, src[i]);
-  }
-  return y;
 }
 
 // ---------------- LayerNorm ----------------
@@ -193,16 +156,13 @@ LayerNorm::LayerNorm(int dim) {
   beta_.InitZero(1, dim);
 }
 
-void LayerNorm::BeginStep(int rows) {
-  const int d = gamma_.value.cols();
-  SizeStepCache(&norm_, rows, d);
-  inv_std_.resize(static_cast<size_t>(rows));
-  SizeStepCache(&y_, rows, d);
-  SizeStepCache(&dy_, rows, d);
-}
-
-const Matrix& LayerNorm::ForwardRows(const Matrix& x, int r0, int r1) {
+void LayerNorm::ForwardRowsInto(const Matrix& x, int r0, int r1, const Dest& dest) const {
+  // Nests under the encoder span when a sampled trace is bound; no-op (one
+  // thread-local load) otherwise.
+  obs::ScopedSpan span(obs::Stage::kLayerNorm);
   const int d = x.cols();
+  const float* gamma = gamma_.value.Row(0);
+  const float* beta = beta_.value.Row(0);
   for (int i = r0; i < r1; ++i) {
     const float* row = x.Row(i);
     float mean = 0.0f;
@@ -215,15 +175,31 @@ const Matrix& LayerNorm::ForwardRows(const Matrix& x, int r0, int r1) {
       var += (row[j] - mean) * (row[j] - mean);
     }
     var /= static_cast<float>(d);
-    float inv_std = 1.0f / std::sqrt(var + kEps);
-    inv_std_[static_cast<size_t>(i)] = inv_std;
-    float* nrow = norm_.Row(i);
-    float* yrow = y_.Row(i);
+    const float inv_std = 1.0f / std::sqrt(var + kEps);
+    float* yrow = dest.y->Row(i);
+    float* nrow = dest.norm != nullptr ? dest.norm->Row(i) : nullptr;
+    if (dest.inv_std != nullptr) {
+      dest.inv_std[i] = inv_std;
+    }
     for (int j = 0; j < d; ++j) {
-      nrow[j] = (row[j] - mean) * inv_std;
-      yrow[j] = nrow[j] * gamma_.value.At(0, j) + beta_.value.At(0, j);
+      const float n = (row[j] - mean) * inv_std;
+      if (nrow != nullptr) {
+        nrow[j] = n;
+      }
+      yrow[j] = n * gamma[j] + beta[j];
     }
   }
+}
+
+void LayerNorm::BeginStep(int rows) {
+  SizeStepCache(&norm_, rows, dim());
+  inv_std_.resize(static_cast<size_t>(rows));
+  SizeStepCache(&y_, rows, dim());
+  SizeStepCache(&dy_, rows, dim());
+}
+
+const Matrix& LayerNorm::ForwardRows(const Matrix& x, int r0, int r1) {
+  ForwardRowsInto(x, r0, r1, CacheDest());
   return y_;
 }
 
@@ -274,48 +250,10 @@ Matrix LayerNorm::Backward(const Matrix& dy) {
   return dx;
 }
 
-namespace {
-
-// The single copy of the inference-normalization loop, shared by both
-// ForwardInference overloads so they stay bitwise-consistent. Rows are
-// independent, so a row's result does not depend on the batch around it.
-void LayerNormRowsInto(const Matrix& x, const float* gamma, const float* beta, float eps,
-                       Matrix* y) {
-  const int d = x.cols();
-  for (int i = 0; i < x.rows(); ++i) {
-    const float* row = x.Row(i);
-    float mean = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      mean += row[j];
-    }
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (int j = 0; j < d; ++j) {
-      var += (row[j] - mean) * (row[j] - mean);
-    }
-    var /= static_cast<float>(d);
-    const float inv_std = 1.0f / std::sqrt(var + eps);
-    float* yrow = y->Row(i);
-    for (int j = 0; j < d; ++j) {
-      yrow[j] = (row[j] - mean) * inv_std * gamma[j] + beta[j];
-    }
-  }
-}
-
-}  // namespace
-
-Matrix LayerNorm::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
 Matrix* LayerNorm::ForwardInference(const Matrix& x, Workspace* ws) const {
-  // Nests under the encoder span when a sampled trace is bound; no-op (one
-  // thread-local load) otherwise.
-  obs::ScopedSpan span(obs::Stage::kLayerNorm);
-  Matrix* y = ws->NewMatrix(x.rows(), x.cols());
-  LayerNormRowsInto(x, gamma_.value.Row(0), beta_.value.Row(0), kEps, y);
-  return y;
+  const Dest dest = ArenaDest(x.rows(), ws);
+  ForwardRowsInto(x, 0, x.rows(), dest);
+  return dest.y;
 }
 
 void LayerNorm::CollectParams(std::vector<Param*>* out) {
@@ -330,27 +268,30 @@ Mlp::Mlp(const std::vector<int>& dims, Rng* rng) {
   for (size_t i = 0; i + 1 < dims.size(); ++i) {
     linears_.push_back(std::make_unique<Linear>(dims[i], dims[i + 1], rng));
   }
-  relus_.resize(linears_.size() - 1);
+}
+
+template <typename Dest>
+Matrix* Mlp::ForwardRowsInto(const Matrix& x, int r0, int r1, Dest&& dest) const {
+  const Matrix* h = &x;
+  Matrix* y = nullptr;
+  for (size_t i = 0; i < linears_.size(); ++i) {
+    const bool hidden = i + 1 < linears_.size();
+    y = dest(i);
+    linears_[i]->ForwardRowsInto(
+        *h, r0, r1, hidden ? kernels::Activation::kRelu : kernels::Activation::kNone, y);
+    h = y;
+  }
+  return y;
 }
 
 void Mlp::BeginStep(int rows) {
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    linears_[i]->BeginStep(rows);
-    if (i + 1 < linears_.size()) {
-      relus_[i].BeginStep(rows, linears_[i]->out_dim());
-    }
+  for (auto& l : linears_) {
+    l->BeginStep(rows);
   }
 }
 
 const Matrix& Mlp::ForwardRows(const Matrix& x, int r0, int r1) {
-  const Matrix* h = &x;
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    h = &linears_[i]->ForwardRows(*h, r0, r1);
-    if (i + 1 < linears_.size()) {
-      h = &relus_[i].ForwardRows(*h, r0, r1);
-    }
-  }
-  return *h;
+  return *ForwardRowsInto(x, r0, r1, [&](size_t i) { return &linears_[i]->output(); });
 }
 
 void Mlp::BackpropRows(int r0, int r1) {
@@ -358,7 +299,7 @@ void Mlp::BackpropRows(int r0, int r1) {
     Linear& below = *linears_[i - 1];
     Matrix& d = below.output_grad();
     linears_[i]->InputGradRows(r0, r1, d.Row(r0), d.cols());
-    Relu::BackwardRows(below.output(), r0, r1, &d);
+    ReluBackwardRows(below.output(), r0, r1, &d);
   }
 }
 
@@ -369,7 +310,7 @@ void Mlp::InputGradRows(int r0, int r1, float* dx, int ldx) const {
 void Mlp::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
   linears_[0]->AppendGradTasks(x, tasks);
   for (size_t i = 1; i < linears_.size(); ++i) {
-    linears_[i]->AppendGradTasks(relus_[i - 1].output(), tasks);
+    linears_[i]->AppendGradTasks(linears_[i - 1]->output(), tasks);
   }
 }
 
@@ -394,21 +335,10 @@ Matrix Mlp::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Mlp::ForwardInference(const Matrix& x) const {
-  Workspace ws;
-  return *ForwardInference(x, &ws);
-}
-
 Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws) const {
-  const Matrix* h = &x;
-  Matrix* out = nullptr;
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    const bool hidden = i + 1 < linears_.size();
-    out = linears_[i]->ForwardInference(
-        *h, ws, hidden ? kernels::Activation::kRelu : kernels::Activation::kNone);
-    h = out;
-  }
-  return out;
+  return ForwardRowsInto(x, 0, x.rows(), [&](size_t i) {
+    return ws->NewMatrix(x.rows(), linears_[i]->out_dim());
+  });
 }
 
 void Mlp::CollectParams(std::vector<Param*>* out) {

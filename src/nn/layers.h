@@ -1,17 +1,36 @@
 // Basic trainable layers with manual forward/backward passes.
 //
+// One forward body per layer. Every layer's forward arithmetic lives in one
+// const row body, ForwardRowsInto(x, r0, r1, ..., dest): it computes output
+// rows [r0, r1) from input rows [r0, r1) and writes them, and every
+// intermediate the layer produces, to the same rows of the matrices `dest`
+// names (a Matrix* for Linear, one per layer for Mlp, and a Dest struct
+// built by CacheDest() or ArenaDest() for LayerNorm, attention and the
+// encoder layer). It has two callers:
+//   ForwardRows(x, r0, r1, ..)   training: `dest` is the layer's full-batch
+//                                caches, which the backward reads.
+//   ForwardInference(x, .., ws)  inference: `dest` is fresh matrices for rows
+//                                [0, x.rows()) from the caller's Workspace
+//                                arena, valid until its Reset(); warm passes
+//                                allocate nothing.
+// So training and inference agree bit for bit by construction
+// (tests/nn_test.cc pins it). ForwardInference is const and touches no
+// mutable state: any number of threads may call it on a shared layer, each
+// with its own Workspace, while no thread mutates parameters (the serving
+// hot path, src/serve/).
+//
 // Training convention. CdmppPredictor::RunTraining runs each step in a few
 // parallel regions over contiguous row shards (README "Training step")
-// instead of forking per op, so every trainable layer exposes its forward and
-// backward as row primitives over full-batch caches:
+// instead of forking per op, so every trainable layer exposes its training
+// pass as row primitives over full-batch caches:
 //   BeginStep(rows)            serial: sizes the caches for a `rows`-row batch
 //                              (capacity-preserving: no heap traffic once
 //                              warm). BeginStep(0) frees them instead, so a
 //                              model holds only parameters between training
 //                              calls.
-//   ForwardRows(x, r0, r1)     output rows [r0, r1) from input rows [r0, r1).
-//                              Writes only those rows of the caches, so
-//                              disjoint shards run concurrently.
+//   ForwardRows(x, r0, r1)     the forward body into the caches. Writes only
+//                              rows [r0, r1), so disjoint shards run
+//                              concurrently.
 //   output_grad()              the dLoss/dOutput buffer; whoever consumes the
 //                              output writes its rows there.
 //   InputGradRows(r0, r1, ..)  dLoss/dInput rows from output_grad() rows.
@@ -24,27 +43,9 @@
 // whole batch in row order, so results do not depend on the sharding.
 //
 // Forward(x) / Backward(dy) are whole-batch wrappers over the row primitives
-// (one implementation): Forward keeps a copy of x, Backward accumulates
-// parameter gradients and returns dLoss/dInput. Call ZeroGrad between steps.
-//
-// Every layer also exposes ForwardInference: a const forward pass that writes
-// no caches and touches no mutable state, computing bitwise-identical outputs
-// to Forward. Any number of threads may call ForwardInference concurrently on
-// a shared layer as long as no thread mutates parameters at the same time —
-// this is the serving hot path (src/serve/).
-//
-// ForwardInference comes in two flavors:
-//   * Matrix* ForwardInference(x, Workspace*): the hot path. Output and all
-//     intermediates live in the caller's Workspace arena (valid until its
-//     Reset()), so steady-state passes perform zero heap allocations. Each
-//     thread needs its own Workspace.
-//   * Matrix ForwardInference(x): convenience overload, same values. For the
-//     composite layers (Mlp, attention, transformer) it is a true wrapper
-//     that runs the arena path on a scratch Workspace and copies the result
-//     out — there is exactly ONE inference implementation per layer to keep
-//     bitwise-consistent. The primitive layers (Linear, Relu, LayerNorm)
-//     share their single kernel call / loop between both overloads instead,
-//     avoiding the scratch arena.
+// (the baselines and the gradient checks use them): Forward keeps a copy of
+// x, Backward accumulates parameter gradients and returns dLoss/dInput. Call
+// ZeroGrad between steps.
 #ifndef SRC_NN_LAYERS_H_
 #define SRC_NN_LAYERS_H_
 
@@ -125,10 +126,23 @@ inline void SizeStepCache(Matrix* cache, int rows, int cols) {
   }
 }
 
-// y = x W + b, x: [N, in], W: [in, out].
+// ReLU backward for rows [r0, r1) from the activation's output y = max(0, v):
+// zeroes d where y <= 0, which is exactly where v <= 0. Hidden layers fuse
+// their ReLU into the GEMM epilogue (kernels::Activation::kRelu), so the
+// post-activation output is the only cache.
+void ReluBackwardRows(const Matrix& y, int r0, int r1, Matrix* d);
+
+// y = act(x W + b), x: [N, in], W: [in, out].
 class Linear : public Module {
  public:
   Linear(int in_dim, int out_dim, Rng* rng);
+
+  // The forward body: rows [r0, r1) of y = act(x W + b) in one fused kernel
+  // call (the epilogue runs while the accumulator tile is in registers),
+  // written to the same rows of `y`. The kernels are batch-size-invariant
+  // per row, so a shard's rows match the whole batch's.
+  void ForwardRowsInto(const Matrix& x, int r0, int r1, kernels::Activation act,
+                       Matrix* y) const;
 
   // Training row primitives (see the top of this file). ForwardRows returns
   // the full-batch output, which the Linear's own backward never reads:
@@ -137,6 +151,7 @@ class Linear : public Module {
   void BeginStep(int rows);
   Matrix& ForwardRows(const Matrix& x, int r0, int r1);
   const Matrix& output() const { return y_; }
+  Matrix& output() { return y_; }
   Matrix& output_grad() { return dy_; }
   // Rows [r0, r1) of dLoss/dx = dy·Wᵀ, written to dx (row stride ldx; dx
   // addresses row r0), or added to it with `accumulate`.
@@ -145,10 +160,6 @@ class Linear : public Module {
 
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: y = act(x W + b) in one fused kernel pass (the epilogue runs
-  // while the accumulator tile is still in registers). kNone reproduces the
-  // plain layer; kRelu folds a following Relu away.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws,
                            kernels::Activation act = kernels::Activation::kNone) const;
   void CollectParams(std::vector<Param*>* out) override;
@@ -162,10 +173,6 @@ class Linear : public Module {
   const Matrix& bias() const { return b_.value; }
 
  private:
-  // The one fused-kernel invocation both inference entry points share:
-  // y = act(x W + b) written into the caller-sized output.
-  void ApplyLinear(const Matrix& x, kernels::Activation act, Matrix* y) const;
-
   Param w_;
   Param b_;
   Matrix y_;
@@ -173,31 +180,24 @@ class Linear : public Module {
   Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
-// Elementwise max(0, x).
-class Relu : public Module {
- public:
-  void BeginStep(int rows, int cols) { SizeStepCache(&y_, rows, cols); }
-  const Matrix& ForwardRows(const Matrix& x, int r0, int r1);
-  const Matrix& output() const { return y_; }
-  // Backward for rows [r0, r1): zeroes d in place where the forward input x
-  // was <= 0.
-  static void BackwardRows(const Matrix& x, int r0, int r1, Matrix* d);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: output from `ws`.
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-  void CollectParams(std::vector<Param*>*) override {}
-
- private:
-  Matrix y_;
-};
-
 // Per-row layer normalization with learnable gamma/beta.
 class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
 
+  // Where the forward body writes: the output, and the normalized rows
+  // (pre gamma/beta) and per-row 1/std that the backward reads. norm and
+  // inv_std are null for inference.
+  struct Dest {
+    Matrix* y;
+    Matrix* norm;
+    float* inv_std;
+  };
+  void ForwardRowsInto(const Matrix& x, int r0, int r1, const Dest& dest) const;
+
   // Training row primitives (see the top of this file).
   void BeginStep(int rows);
+  Dest CacheDest() { return {&y_, &norm_, inv_std_.data()}; }
   const Matrix& ForwardRows(const Matrix& x, int r0, int r1);
   const Matrix& output() const { return y_; }
   Matrix& output_grad() { return dy_; }
@@ -206,11 +206,13 @@ class LayerNorm : public Module {
 
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: output from `ws`.
+  Dest ArenaDest(int rows, Workspace* ws) const {
+    return {ws->NewMatrix(rows, dim()), nullptr, nullptr};
+  }
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 
+  int dim() const { return gamma_.value.cols(); }
   // Read-only parameter views: the int8 calibration path derives data-free
   // per-channel activation magnitude estimates for post-LayerNorm inputs from
   // gamma/beta (src/nn/quantize.h).
@@ -247,8 +249,6 @@ class Mlp : public Module {
 
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
-  Matrix ForwardInference(const Matrix& x) const;
-  // Hot path: each hidden Linear+ReLU pair runs as one fused kernel call.
   Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 
@@ -257,8 +257,13 @@ class Mlp : public Module {
   const Linear& linear_layer(size_t i) const { return *linears_[i]; }
 
  private:
+  // The forward body: Linear i writes rows [r0, r1) of dest(i), hidden
+  // layers with their ReLU fused into the GEMM epilogue. Returns the last
+  // layer's destination.
+  template <typename Dest>
+  Matrix* ForwardRowsInto(const Matrix& x, int r0, int r1, Dest&& dest) const;
+
   std::vector<std::unique_ptr<Linear>> linears_;
-  std::vector<Relu> relus_;
   Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 

@@ -48,25 +48,48 @@ Matrix* ForwardLayerStack(size_t n, const Matrix& x, Workspace* ws, Layer&& laye
 
 }  // namespace
 
+Matrix* TransformerEncoderLayer::ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len,
+                                                 const Dest& dest, Workspace* scratch) const {
+  Matrix* attn_out = attn_.ForwardRowsInto(x, r0, r1, seq_len, dest.attn, scratch);
+  AddRows(x, r0, r1, attn_out);  // residual
+  norm1_.ForwardRowsInto(*attn_out, r0, r1, dest.norm1);
+  const Matrix& h = *dest.norm1.y;
+
+  // FFN hidden layer: bias + ReLU fused into the GEMM epilogue.
+  ff1_->ForwardRowsInto(h, r0, r1, kernels::Activation::kRelu, dest.ff1);
+  ff2_->ForwardRowsInto(*dest.ff1, r0, r1, kernels::Activation::kNone, dest.ff2);
+  AddRows(h, r0, r1, dest.ff2);  // residual
+  norm2_.ForwardRowsInto(*dest.ff2, r0, r1, dest.norm2);
+  return dest.norm2.y;
+}
+
+TransformerEncoderLayer::Dest TransformerEncoderLayer::ArenaDest(int rows, Workspace* ws) const {
+  Dest dest;
+  dest.attn = attn_.ArenaDest(rows, ws);
+  dest.norm1 = norm1_.ArenaDest(rows, ws);
+  dest.ff1 = ws->NewMatrix(rows, ff1_->out_dim());
+  dest.ff2 = ws->NewMatrix(rows, ff2_->out_dim());
+  dest.norm2 = norm2_.ArenaDest(rows, ws);
+  return dest;
+}
+
 void TransformerEncoderLayer::BeginStep(int rows, int seq_len) {
+  seq_len_ = seq_len;
   attn_.BeginStep(rows, seq_len);
   norm1_.BeginStep(rows);
   ff1_->BeginStep(rows);
-  ff_relu_.BeginStep(rows, ff1_->out_dim());
   ff2_->BeginStep(rows);
   norm2_.BeginStep(rows);
 }
 
+TransformerEncoderLayer::Dest TransformerEncoderLayer::CacheDest() {
+  return {attn_.CacheDest(), norm1_.CacheDest(), &ff1_->output(), &ff2_->output(),
+          norm2_.CacheDest()};
+}
+
 const Matrix& TransformerEncoderLayer::ForwardRows(const Matrix& x, int r0, int r1,
                                                    Workspace* scratch) {
-  Matrix& attn_out = attn_.ForwardRows(x, r0, r1, scratch);
-  AddRows(x, r0, r1, &attn_out);  // residual
-  const Matrix& h = norm1_.ForwardRows(attn_out, r0, r1);
-
-  Matrix& ff = ff2_->ForwardRows(ff_relu_.ForwardRows(ff1_->ForwardRows(h, r0, r1), r0, r1),
-                                 r0, r1);
-  AddRows(h, r0, r1, &ff);  // residual
-  return norm2_.ForwardRows(ff, r0, r1);
+  return *ForwardRowsInto(x, r0, r1, seq_len_, CacheDest(), scratch);
 }
 
 void TransformerEncoderLayer::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
@@ -76,7 +99,7 @@ void TransformerEncoderLayer::InputGradRows(int r0, int r1, Workspace* scratch, 
   norm2_.InputGradRows(r0, r1, &d_ff_sum);
   Matrix& d_ff1 = ff1_->output_grad();
   ff2_->InputGradRows(r0, r1, d_ff1.Row(r0), d_ff1.cols());
-  Relu::BackwardRows(ff1_->output(), r0, r1, &d_ff1);
+  ReluBackwardRows(ff1_->output(), r0, r1, &d_ff1);
   Matrix& dh = norm1_.output_grad();
   ff1_->InputGradRows(r0, r1, dh.Row(r0), dh.cols());
   AddRows(d_ff_sum, r0, r1, &dh);
@@ -92,7 +115,7 @@ void TransformerEncoderLayer::AppendGradTasks(const Matrix& x, std::vector<GradT
   attn_.AppendGradTasks(x, tasks);
   norm1_.AppendGradTasks(tasks);
   ff1_->AppendGradTasks(norm1_.output(), tasks);
-  ff2_->AppendGradTasks(ff_relu_.output(), tasks);
+  ff2_->AppendGradTasks(ff1_->output(), tasks);
   norm2_.AppendGradTasks(tasks);
 }
 
@@ -117,22 +140,9 @@ Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len) const {
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
-}
-
 Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
                                                   Workspace* ws) const {
-  Matrix* attn_out = attn_.ForwardInference(x, seq_len, ws);
-  attn_out->AddInPlace(x);  // residual
-  Matrix* h = norm1_.ForwardInference(*attn_out, ws);
-
-  // FFN hidden layer: bias + ReLU fused into the GEMM epilogue.
-  Matrix* ff1 = ff1_->ForwardInference(*h, ws, kernels::Activation::kRelu);
-  Matrix* ff = ff2_->ForwardInference(*ff1, ws);
-  ff->AddInPlace(*h);  // residual
-  return norm2_.ForwardInference(*ff, ws);
+  return ForwardRowsInto(x, 0, x.rows(), seq_len, ArenaDest(x.rows(), ws), ws);
 }
 
 void TransformerEncoderLayer::CollectParams(std::vector<Param*>* out) {
@@ -200,11 +210,6 @@ Matrix TransformerEncoder::Backward(const Matrix& dy) {
     RunGradTask(t);
   }
   return dx;
-}
-
-Matrix TransformerEncoder::ForwardInference(const Matrix& x, int seq_len) const {
-  Workspace ws;
-  return *ForwardInference(x, seq_len, &ws);
 }
 
 Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len,

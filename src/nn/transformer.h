@@ -15,8 +15,23 @@ class TransformerEncoderLayer : public Module {
  public:
   TransformerEncoderLayer(int d_model, int num_heads, int d_ff, Rng* rng);
 
+  // Where the forward body writes (see src/nn/layers.h).
+  struct Dest {
+    MultiHeadSelfAttention::Dest attn;
+    LayerNorm::Dest norm1;
+    Matrix* ff1;  // ReLU(ff1), fused into the GEMM epilogue
+    Matrix* ff2;
+    LayerNorm::Dest norm2;
+  };
+  // The forward body over rows [r0, r1), whole samples of `seq_len` rows;
+  // `scratch` is private to the calling shard. Returns dest.norm2.y.
+  Matrix* ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len, const Dest& dest,
+                          Workspace* scratch) const;
+  Dest ArenaDest(int rows, Workspace* ws) const;
+
   // Training row primitives (see src/nn/layers.h and attention.h).
   void BeginStep(int rows, int seq_len);
+  Dest CacheDest();
   const Matrix& ForwardRows(const Matrix& x, int r0, int r1, Workspace* scratch);
   const Matrix& output() const { return norm2_.output(); }
   Matrix& output_grad() { return norm2_.output_grad(); }
@@ -25,7 +40,6 @@ class TransformerEncoderLayer : public Module {
 
   Matrix Forward(const Matrix& x, int seq_len);
   Matrix Backward(const Matrix& dy);
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 
@@ -42,10 +56,10 @@ class TransformerEncoderLayer : public Module {
   MultiHeadSelfAttention attn_;
   LayerNorm norm1_;
   std::unique_ptr<Linear> ff1_;
-  Relu ff_relu_;
   std::unique_ptr<Linear> ff2_;
   LayerNorm norm2_;
-  Matrix input_;  // the Forward/Backward wrappers' copy of x
+  int seq_len_ = 0;  // of the training step
+  Matrix input_;     // the Forward/Backward wrappers' copy of x
 };
 
 // A stack of encoder layers.
@@ -62,11 +76,9 @@ class TransformerEncoder : public Module {
 
   Matrix Forward(const Matrix& x, int seq_len);
   Matrix Backward(const Matrix& dy);
-  // Cache-free const forward (see src/nn/layers.h): safe for concurrent use
-  // on a shared encoder while no thread is training it.
-  Matrix ForwardInference(const Matrix& x, int seq_len) const;
-  // Hot path: all intermediates from `ws` (one arena per thread); the fused
-  // Linear+ReLU kernel runs the FFN's hidden layer in one pass.
+  // Each layer's forward body on arena destinations (see src/nn/layers.h),
+  // one layer's tensors live at a time: safe for concurrent use on a shared
+  // encoder while no thread is training it.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws) const;
   void CollectParams(std::vector<Param*>* out) override;
 

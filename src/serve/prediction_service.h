@@ -52,9 +52,9 @@ struct ServeOptions {
   // Numeric tier the workers' forward passes run in. kInt8 serves through the
   // int8 symmetric-quantized kernel path (PredictBatchedQuantized, <= 1%
   // relative deviation from fp32, ~2x GEMM throughput/core) covering the
-  // encoder weight GEMMs plus heads/device-MLP/decoder; kInt8Heads is the
-  // pre-encoder subset kept for A/B comparison. The default is taken from the
-  // CDMPP_PRECISION environment override (fp32 when unset or unrecognized).
+  // encoder weight GEMMs plus heads/device-MLP/decoder. The default is taken
+  // from the CDMPP_PRECISION environment override (fp32 when unset or
+  // unrecognized).
   Precision precision = DefaultPrecision();
   // Upper bound on requests drained per worker wake-up; buckets inside a
   // drain are additionally chunked to the predictor's config batch size.

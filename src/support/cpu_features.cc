@@ -81,15 +81,11 @@ bool ParsePrecision(const char* value, Precision* out) {
   if (value == nullptr) {
     return false;
   }
-  // Exact full-string matches only: "int8heads", "int8 ", "INT8", or "int8x"
+  // Exact full-string matches only: "int8-heads", "int8 ", "INT8", or "int8x"
   // must all be rejected, not coerced to the nearest tier — a typo'd knob
   // silently serving a different precision is the failure mode this guards.
   if (std::strcmp(value, "fp32") == 0) {
     *out = Precision::kFp32;
-    return true;
-  }
-  if (std::strcmp(value, "int8-heads") == 0) {
-    *out = Precision::kInt8Heads;
     return true;
   }
   if (std::strcmp(value, "int8") == 0) {
@@ -111,7 +107,7 @@ Precision DefaultPrecision() {
       if (env[0] != '\0') {
         std::fprintf(stderr,
                      "cdmpp: rejected CDMPP_PRECISION '%s' (expected exactly "
-                     "fp32|int8-heads|int8); using fp32\n",
+                     "fp32|int8); using fp32\n",
                      env);
       }
     }
@@ -124,8 +120,6 @@ const char* PrecisionName(Precision precision) {
   switch (precision) {
     case Precision::kInt8:
       return "int8";
-    case Precision::kInt8Heads:
-      return "int8-heads";
     case Precision::kFp32:
       break;
   }

@@ -46,36 +46,30 @@ const char* KernelIsaName(KernelIsa isa);
 
 // ---- Serving numeric precision (the CDMPP_KERNEL_ISA sibling knob). ---------
 //
-// kFp32 is the default data plane. The two quantized tiers route serving
-// forwards through the int8 symmetric-quantized kernel layer
-// (src/nn/quantize.h) with different coverage:
-//   * kInt8 — the full quantized data plane: transformer-encoder QKV/output
-//     projections and FFN pair, per-leaf-count heads, device MLP, and decoder
-//     hiddens (attention's activation×activation score/context GEMMs, the
-//     input projection, LayerNorms, and the decoder's final [*, 1] projection
-//     stay fp32 — see README "Int8 quantized serving").
-//   * kInt8Heads — the pre-encoder subset (heads + device MLP + decoder
-//     hiddens only), kept as a spelling for A/B-measuring the encoder
-//     conversion against the previous tier.
+// kFp32 is the default data plane. kInt8 routes serving forwards through
+// the int8 symmetric-quantized kernel layer (src/nn/quantize.h):
+// transformer-encoder QKV/output projections and FFN pair, per-leaf-count
+// heads, device MLP, and decoder hiddens (attention's activation×activation
+// score/context GEMMs, the input projection, LayerNorms, and the decoder's
+// final [*, 1] projection stay fp32 — see README "Int8 quantized serving").
 // Unlike the ISA, precision is a per-service choice (ServeOptions::precision),
 // not a global dispatch: DefaultPrecision() only resolves the CDMPP_PRECISION
-// environment override ("fp32" | "int8" | "int8-heads", read once at first
-// use) that seeds that option — the knob CI's int8 matrix legs and A/B
-// benchmarking use. Unknown values are rejected loudly on stderr and fall
-// back to fp32.
-enum class Precision { kFp32, kInt8Heads, kInt8 };
+// environment override ("fp32" | "int8", read once at first use) that seeds
+// that option — the knob CI's int8 matrix legs use. Unknown values are
+// rejected loudly on stderr and fall back to fp32.
+enum class Precision { kFp32, kInt8 };
 
-// Strict full-string parse of a CDMPP_PRECISION spelling ("fp32" |
-// "int8-heads" | "int8"). Returns false — writing nothing — for anything
-// else, including null, empty, whitespace, prefixes ("int"), and trailing
-// garbage ("int8x"): misconfigured values must be rejected, never silently
-// coerced (the ResolveNumThreads hardening pattern). Exposed for regression
-// tests; DefaultPrecision() is the one production caller.
+// Strict full-string parse of a CDMPP_PRECISION spelling ("fp32" | "int8").
+// Returns false — writing nothing — for anything else, including null,
+// empty, whitespace, prefixes ("int"), and trailing garbage ("int8x"):
+// misconfigured values must be rejected, never silently coerced (the
+// ResolveNumThreads hardening pattern). Exposed for regression tests;
+// DefaultPrecision() is the one production caller.
 bool ParsePrecision(const char* value, Precision* out);
 
 Precision DefaultPrecision();
 
-// "fp32" / "int8-heads" / "int8" — the spelling CDMPP_PRECISION accepts and
+// "fp32" / "int8" — the spelling CDMPP_PRECISION accepts and
 // the benches and ServerStats report.
 const char* PrecisionName(Precision precision);
 

@@ -113,9 +113,9 @@ TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
   Linear linear(k, n, &rng);
   Matrix x = RandomMatrix(m, k, &rng, 2.0);
 
-  Matrix y_fp32 = linear.ForwardInference(x);
-  QuantizedLinear qlinear(linear);
   Workspace ws;
+  const Matrix& y_fp32 = *linear.ForwardInference(x, &ws);
+  QuantizedLinear qlinear(linear);
   Matrix* y_q = qlinear.ForwardInference(x, &ws);
   ASSERT_EQ(y_q->rows(), m);
   ASSERT_EQ(y_q->cols(), n);
@@ -199,10 +199,10 @@ TEST(QuantizedMlpTest, TracksFp32MlpClosely) {
   Rng rng(46);
   Mlp mlp({30, 24, 16, 1}, &rng);
   Matrix x = RandomMatrix(9, 30, &rng);
-  Matrix y_fp32 = mlp.ForwardInference(x);
+  Workspace ws;
+  const Matrix& y_fp32 = *mlp.ForwardInference(x, &ws);
   QuantizedMlp qmlp(mlp);
   EXPECT_EQ(qmlp.num_layers(), 3u);
-  Workspace ws;
   Matrix* y_q = qmlp.ForwardInference(x, &ws);
   // Stacked quantization noise across three layers on random (untrained,
   // Xavier-scale) weights: int8 weight rounding dominates (the 12-bit

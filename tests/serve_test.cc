@@ -576,83 +576,6 @@ TEST(QuantizedServingTest, Int8ServiceMatchesDirectQuantizedForward) {
   EXPECT_NE(stats.ToString().find("precision int8"), std::string::npos);
 }
 
-// The A/B spelling: int8-heads keeps the pre-encoder quantization subset
-// (heads + device MLP + decoder hiddens, encoder fully fp32) and must hold
-// the same <= 1% agreement contract — it quantizes strictly less than int8.
-TEST(QuantizedServingTest, Int8HeadsPredictorAgreesWithFp32WithinOnePercent) {
-  ServeWorld& w = World();
-  w.predictor->PrepareQuantizedInference();
-  for (const CompactAst& ast : w.workload) {
-    w.predictor->EnsureQuantizedHead(ast.num_leaves);
-  }
-  AstBatchView view;
-  for (const CompactAst& ast : w.workload) {
-    view.asts.push_back(&ast);
-    view.device_ids.push_back(0);
-  }
-  std::vector<double> fp32 = w.predictor->PredictBatched(view);
-  std::vector<double> heads = w.predictor->PredictBatchedQuantized(
-      view, /*num_forward_passes=*/nullptr, Precision::kInt8Heads);
-  ASSERT_EQ(heads.size(), fp32.size());
-  for (size_t i = 0; i < fp32.size(); ++i) {
-    ASSERT_GT(fp32[i], 0.0);
-    EXPECT_GT(heads[i], 0.0);
-    EXPECT_LE(std::abs(heads[i] - fp32[i]) / fp32[i], 0.01)
-        << "request " << i << ": int8-heads " << heads[i] << " vs fp32 " << fp32[i];
-  }
-}
-
-TEST(QuantizedServingTest, Int8HeadsServiceMatchesDirectSubsetForward) {
-  ServeWorld& w = World();
-  ServeOptions opts;
-  opts.num_workers = 2;
-  opts.max_batch_size = 32;
-  opts.batch_window_ms = 0.2;
-  opts.enable_cache = false;
-  opts.precision = Precision::kInt8Heads;
-  PredictionService service(w.predictor.get(), opts);
-  std::vector<std::future<double>> futures;
-  for (const CompactAst& ast : w.workload) {
-    futures.push_back(service.Submit(ast, 0));
-  }
-  for (size_t i = 0; i < w.workload.size(); ++i) {
-    AstBatchView single;
-    single.asts.push_back(&w.workload[i]);
-    single.device_ids.push_back(0);
-    const double expected = w.predictor->PredictBatchedQuantized(
-        single, /*num_forward_passes=*/nullptr, Precision::kInt8Heads)[0];
-    EXPECT_EQ(futures[i].get(), expected) << "request " << i;  // bitwise (per-row scales)
-  }
-  ServerStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.precision, "int8-heads");
-  EXPECT_NE(stats.ToString().find("precision int8-heads"), std::string::npos);
-}
-
-// The two quantized tiers must actually be different data planes: on the
-// serving fixtures the encoder conversion changes served values (if it did
-// not, the int8 mode would not be exercising the encoder at all).
-TEST(QuantizedServingTest, Int8AndInt8HeadsAreDistinctDataPlanes) {
-  ServeWorld& w = World();
-  w.predictor->PrepareQuantizedInference();
-  for (const CompactAst& ast : w.workload) {
-    w.predictor->EnsureQuantizedHead(ast.num_leaves);
-  }
-  AstBatchView view;
-  for (const CompactAst& ast : w.workload) {
-    view.asts.push_back(&ast);
-    view.device_ids.push_back(0);
-  }
-  std::vector<double> full = w.predictor->PredictBatchedQuantized(view);
-  std::vector<double> heads = w.predictor->PredictBatchedQuantized(
-      view, /*num_forward_passes=*/nullptr, Precision::kInt8Heads);
-  ASSERT_EQ(full.size(), heads.size());
-  bool any_diff = false;
-  for (size_t i = 0; i < full.size(); ++i) {
-    any_diff = any_diff || full[i] != heads[i];
-  }
-  EXPECT_TRUE(any_diff) << "int8 and int8-heads served identical values everywhere";
-}
-
 // ---- ServerStats unit tests ------------------------------------------------
 
 TEST(ServerStatsTest, EmptyLatencyBufferSnapshotsToZeroPercentiles) {

@@ -187,18 +187,17 @@ TEST(ParsePrecisionTest, AcceptsExactSpellingsOnly) {
   EXPECT_EQ(p, Precision::kFp32);
   ASSERT_TRUE(ParsePrecision("int8", &p));
   EXPECT_EQ(p, Precision::kInt8);
-  ASSERT_TRUE(ParsePrecision("int8-heads", &p));
-  EXPECT_EQ(p, Precision::kInt8Heads);
 }
 
 TEST(ParsePrecisionTest, RejectsMalformedValuesWritingNothing) {
   // Misconfigured values must be rejected whole, never prefix-matched or
   // silently coerced — a typo'd CDMPP_PRECISION should fall back loudly, not
   // serve the wrong tier. The sentinel verifies *out is untouched on reject.
-  const Precision sentinel = Precision::kInt8Heads;
+  const Precision sentinel = Precision::kInt8;
   for (const char* bad : {static_cast<const char*>(nullptr), "", " ", "int", "int8x",
                           "int8 ", " int8", "INT8", "Fp32", "fp", "fp32x", "int8-head",
-                          "int8-headss", "int8-heads ", "int8heads", "int16", "8"}) {
+                          "int8-heads", "int8-headss", "int8-heads ", "int8heads", "int16",
+                          "8"}) {
     Precision p = sentinel;
     EXPECT_FALSE(ParsePrecision(bad, &p)) << "accepted: '" << (bad ? bad : "<null>") << "'";
     EXPECT_EQ(p, sentinel) << "wrote on reject: '" << (bad ? bad : "<null>") << "'";
@@ -206,7 +205,7 @@ TEST(ParsePrecisionTest, RejectsMalformedValuesWritingNothing) {
 }
 
 TEST(ParsePrecisionTest, NameRoundTripsEveryPrecision) {
-  for (Precision p : {Precision::kFp32, Precision::kInt8Heads, Precision::kInt8}) {
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
     Precision parsed = p == Precision::kFp32 ? Precision::kInt8 : Precision::kFp32;
     ASSERT_TRUE(ParsePrecision(PrecisionName(p), &parsed));
     EXPECT_EQ(parsed, p);

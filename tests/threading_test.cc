@@ -269,15 +269,17 @@ TEST(ThreadInvarianceTest, EncoderForwardInferenceBitwiseAcrossThreadCounts) {
   Matrix x = RandomMatrix(batch * seq_len, 32, &rng);
   ForEachIsa([&] {
     Matrix baseline;
+    Workspace ws;
     {
       ScopedGlobalPool serial(1);
-      baseline = enc.ForwardInference(x, seq_len);
+      baseline = *enc.ForwardInference(x, seq_len, &ws);
     }
     for (int threads : {2, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       ScopedGlobalPool scoped(threads);
       for (int rep = 0; rep < 3; ++rep) {  // chunk->thread mapping varies; results must not
-        Matrix y = enc.ForwardInference(x, seq_len);
+        ws.Reset();
+        const Matrix& y = *enc.ForwardInference(x, seq_len, &ws);
         ExpectBitwiseEqual(baseline, y, "encoder forward");
       }
     }
@@ -344,12 +346,11 @@ AstBatchView ViewOf(const TestWorld& w) {
 
 // The serving contract, acceptance-gated: PredictBatched output is bitwise
 // identical across CDMPP_NUM_THREADS in {1, 2, 8} and across batch splits,
-// for every precision mode (fp32, the pre-encoder int8-heads subset, and the
-// full int8 encoder tier), under both ISAs.
+// for both precision tiers (fp32 and int8), under both ISAs.
 TEST(ThreadInvarianceTest, PredictBatchedBitwiseAcrossThreadCountsFp32AndInt8) {
   TestWorld& w = World();
   AstBatchView view = ViewOf(w);
-  for (Precision mode : {Precision::kFp32, Precision::kInt8Heads, Precision::kInt8}) {
+  for (Precision mode : {Precision::kFp32, Precision::kInt8}) {
     const bool quantized = mode != Precision::kFp32;
     SCOPED_TRACE(PrecisionName(mode));
     ForEachIsa([&] {
@@ -479,7 +480,7 @@ TEST(ShardedForwardTest, BitwiseEqualToSingleRowForwardsForEveryPoolSize) {
   const obs::Counter& forked =
       obs::MetricsRegistry::Global().GetCounter("parallel_for.forked");
   ForEachIsa([&] {
-    for (Precision mode : {Precision::kFp32, Precision::kInt8Heads, Precision::kInt8}) {
+    for (Precision mode : {Precision::kFp32, Precision::kInt8}) {
       SCOPED_TRACE(PrecisionName(mode));
       for (int g : {1, 2, 3, 4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(g));

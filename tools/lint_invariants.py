@@ -26,12 +26,13 @@ in a temp tree and asserts the linter catches it):
                         nondeterministic; seeded cdmpp::Rng is the only
                         sanctioned randomness.
 
-  R3 workspace-threading  Every ForwardInference *definition* must either
-                        take a Workspace* parameter or construct/lease a
-                        Workspace in its body (the convenience overloads
-                        delegate to the arena path). A ForwardInference that
-                        heap-allocates its output breaks the zero-alloc warm
-                        path contract (tests/dataplane_test.cc).
+  R3 workspace-threading  Every ForwardInference *definition* must take a
+                        Workspace* parameter: inference writes into the
+                        caller's arena, and no by-value overload that builds
+                        a scratch Workspace and copies its result out is
+                        left. A ForwardInference that heap-allocates its
+                        output breaks the zero-alloc warm path contract
+                        (tests/dataplane_test.cc).
 
   R4 zero-alloc-fork    ParallelFor / ParallelForWithScratch / RunPanels chunk
                         bodies must not contain allocation tokens (new,
@@ -52,21 +53,26 @@ in a temp tree and asserts the linter catches it):
                         (CdmppPredictor::RunTraining) is scanned the same way:
                         RunSampleShards is a fork call, and the row primitives
                         and gradient/optimizer kernels its shard and task
-                        bodies call (every *Rows function, RunGradTask,
-                        AddColumnSums, AdamUpdate in the training sources) must
-                        be token-free too: shard scratch comes from the
-                        region's leases or from caches sized before the fork.
+                        bodies call (every *Rows* function, the layers' shared
+                        ForwardRowsInto bodies included, CacheDest,
+                        RunGradTask, AddColumnSums, AdamUpdate in the training
+                        sources) must be token-free too: shard scratch comes
+                        from the region's leases or from caches sized before
+                        the fork.
                         So is the serving forward: layers no longer fork per
                         op (attention's per-chunk scratch leases are gone), and
                         CdmppPredictor::PredictBatchedImpl runs each wave as
                         one ParallelForWithScratch region over row shards.
                         Its shard body is scanned as a chunk body, and every
                         function a shard calls (ForwardShard, every
-                        *ForwardInference, ForwardPreQuantized,
-                        ForwardLayerStack, AttentionContext, SoftmaxRows,
-                        LayerNormRowsInto, QuantizeRowsImpl, PackRowsInto and
-                        the Build*MatrixInto featurizers) must be token-free:
-                        its tensors come from the shard's arena.
+                        *ForwardInference, the layers' shared ForwardRowsInto
+                        bodies and ArenaDest, AttentionContextRows, AddRows,
+                        ForwardPreQuantized, ForwardLayerStack, SoftmaxRows,
+                        QuantizeRowsImpl, the Pack*Rows* packers and the
+                        featurizers) must be token-free: its tensors come from
+                        the shard's arena. The ForwardRowsInto bodies and
+                        AttentionContextRows run in both regions, so both
+                        scopes scan them.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
@@ -252,15 +258,11 @@ def check_workspace_threading(root):
             next_ch = tail[tail_head.end():tail_head.end() + 1]
             if next_ch != '{':
                 continue  # declaration or call, not a definition
-            if "Workspace" in params:
-                continue
-            body_end = match_bracket(text, params_end + tail_head.end(), '{', '}')
-            body = text[params_end:body_end] if body_end != -1 else tail
-            if "Workspace" not in body:
+            if not re.search(r'\bWorkspace\s*\*', params):
                 findings.append((rel, line_of(text, m.start()), "workspace-threading",
-                                 "ForwardInference definition neither takes a "
-                                 "Workspace* nor constructs one: output would "
-                                 "heap-allocate on the warm path"))
+                                 "ForwardInference definition does not take a "
+                                 "Workspace*: its output would heap-allocate "
+                                 "instead of landing in the caller's arena"))
     return findings
 
 
@@ -368,7 +370,8 @@ def all_lambda_bodies(text):
 TRAINING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
                   "src/nn/transformer.cc", "src/nn/optimizer.cc",
                   "src/dataset/batching.cc")
-TRAINING_SHARD_FN = re.compile(r'\b(?:\w*Rows\w*|RunGradTask|AddColumnSums|AdamUpdate)\s*\(')
+TRAINING_SHARD_FN = re.compile(
+    r'\b(?:\w*Rows\w*|CacheDest|RunGradTask|AddColumnSums|AdamUpdate)\s*\(')
 
 
 def function_bodies(text, name_re):
@@ -403,9 +406,9 @@ def alloc_findings(rel, text, regions, why):
 SERVING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
                  "src/nn/transformer.cc", "src/nn/quantize.cc", "src/dataset/batching.cc")
 SERVING_SHARD_FN = re.compile(
-    r'\b(?:ForwardShard|\w*ForwardInference|ForwardPreQuantized|ForwardLayerStack|'
-    r'AttentionContext|SoftmaxRows|LayerNormRowsInto|QuantizeRowsImpl|PackRowsInto|'
-    r'Build\w*MatrixInto)\s*\(')
+    r'\b(?:ForwardShard|\w*ForwardInference|ForwardRowsInto|ArenaDest|AttentionContextRows|'
+    r'AddRows|ForwardPreQuantized|ForwardLayerStack|SoftmaxRows|QuantizeRowsImpl|'
+    r'Pack\w*Rows\w*|LeafFeatureRowsInto|Build\w*MatrixInto)\s*\(')
 
 
 def callee_findings(root, files, fn_re, what, why):
@@ -506,7 +509,9 @@ def run_all(root):
 # ---------------------------------------------------------------------------
 # Self-test: seed violations of every rule in a temp tree (one per covered
 # scope where a rule spans several directories); every seed must fire
-# individually, and every rule must stay quiet on a minimal clean tree.
+# individually, and every rule must stay quiet on a minimal clean tree. A
+# seed's optional third element names R4 scopes (message fragments) that
+# must each report it.
 # ---------------------------------------------------------------------------
 SEEDED_VIOLATIONS = {
     "isa-isolation": [("src/nn/bad_simd.cc", "#include <immintrin.h>\n")],
@@ -536,6 +541,13 @@ SEEDED_VIOLATIONS = {
          "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
          "  Matrix y(x.rows(), x.cols());\n"
          "  return y;\n"
+         "}\n"),
+        # A by-value overload that runs the arena path on a scratch
+        # Workspace and copies the result out: no longer sanctioned.
+        ("src/core/bad_wrapper.cc",
+         "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
+         "  Workspace ws;\n"
+         "  return *ForwardInference(x, &ws);\n"
          "}\n")],
     "zero-alloc-fork": [
         ("src/nn/bad_fork.cc",
@@ -574,10 +586,19 @@ SEEDED_VIOLATIONS = {
         # bodies) that sizes its cache inside the region instead of in
         # BeginStep.
         ("src/nn/layers.cc",
-         "const Matrix& Relu::ForwardRows(const Matrix& x, int r0, int r1) {\n"
-         "  y_.Resize(x.rows(), x.cols());\n"
+         "Matrix& Linear::ForwardRows(const Matrix& x, int r0, int r1) {\n"
+         "  y_.Resize(x.rows(), out_dim());\n"
          "  return y_;\n"
          "}\n"),
+        # The shared forward body, which training and serving shards both
+        # run: an allocation there must fire in both scopes.
+        ("src/nn/transformer.cc",
+         "Matrix* TransformerEncoderLayer::ForwardRowsInto(const Matrix& x, int r0, int r1,\n"
+         "                                                 const Dest& dest) const {\n"
+         "  auto ff = std::make_unique<Matrix>(r1 - r0, x.cols());\n"
+         "  return dest.norm2.y;\n"
+         "}\n",
+         ("training row primitive", "serving shard function")),
         # The serving forward, leg 1: a wave's shard body that grows a
         # container per shard.
         ("src/core/bad_wave.cc",
@@ -591,10 +612,11 @@ SEEDED_VIOLATIONS = {
         # The serving forward, leg 2: a function a shard calls that
         # heap-allocates a temporary instead of taking it from the arena.
         ("src/nn/attention.cc",
-         "Matrix* AttentionContext(const Matrix& q, int batch, Workspace* ws) {\n"
+         "void AttentionContextRows(const Matrix& q, int r0, int r1, Workspace* scratch) {\n"
          "  auto scores = std::make_unique<Matrix>(8, 8);\n"
-         "  return ws->NewMatrix(batch, q.cols());\n"
-         "}\n"),
+         "  scratch->NewMatrix(r1 - r0, q.cols());\n"
+         "}\n",
+         ("training row primitive", "serving shard function")),
     ],
 }
 
@@ -607,10 +629,6 @@ CLEAN_FILES = {
         "  };\n"
         "  ParallelFor(0, static_cast<int64_t>(x.size()), 8, fill);\n"
         "  return y;\n"
-        "}\n"
-        "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
-        "  Workspace ws;\n"
-        "  return *ForwardInference(x, &ws);\n"
         "}\n",
     "CMakeLists.txt":
         'check_cxx_compiler_flag("-mavx2" HAS_MAVX2)\n'
@@ -632,7 +650,7 @@ def self_test():
             failures.append("clean tree produced findings: %r" % (clean,))
         seeded = 0
         for rule_name, seeds in SEEDED_VIOLATIONS.items():
-            for rel, content in seeds:
+            for rel, content, *scopes in seeds:
                 seeded += 1
                 path = os.path.join(tmp, rel)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -643,6 +661,10 @@ def self_test():
                 if not found:
                     failures.append("seeded %s violation in %s was NOT detected" %
                                     (rule_name, rel))
+                for scope in (scopes[0] if scopes else ()):
+                    if not any(scope in f4[3] for f4 in found):
+                        failures.append("seeded %s violation in %s was NOT detected "
+                                        "as a %s" % (rule_name, rel, scope))
                 os.remove(path)
     if failures:
         for msg in failures:
