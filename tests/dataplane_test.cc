@@ -1,11 +1,15 @@
 // Data-plane allocation tests: a counting global allocator asserts that the
 // steady-state inference hot path — layer ForwardInference over a Workspace
-// arena, and the full CdmppPredictor::PredictBatched — performs ZERO heap
-// allocations once warm.
+// arena, and the full CdmppPredictor::PredictBatched and
+// PredictBatchedQuantized — performs ZERO heap allocations once warm. The
+// int8 tier's output bits on the 2-layer fixture are pinned here too.
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,7 @@
 #include "src/core/predictor.h"
 #include "src/nn/workspace.h"
 #include "src/obs/metrics.h"
+#include "src/support/cpu_features.h"
 #include "src/support/parallel_for.h"
 #include "src/tir/schedule.h"
 
@@ -54,7 +59,9 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace cdmpp {
 namespace {
 
-// One tiny trained predictor shared by the tests (training dominates).
+// One tiny trained predictor shared by the tests (training dominates). Two
+// encoder layers, so the int8 tier runs both of its encoder paths: fp32
+// Q/K/V in layer 0 and the shared-quantization Q/K/V of layers >= 1.
 struct TestWorld {
   Dataset ds;
   std::unique_ptr<CdmppPredictor> predictor;
@@ -75,7 +82,7 @@ TestWorld& World() {
     cfg.d_model = 16;
     cfg.num_heads = 2;
     cfg.d_ff = 32;
-    cfg.num_layers = 1;
+    cfg.num_layers = 2;
     cfg.z_dim = 16;
     cfg.device_embed_dim = 8;
     cfg.device_hidden_dim = 16;
@@ -97,6 +104,7 @@ TestWorld& World() {
     for (const CompactAst& ast : w->workload) {
       w->predictor->EnsureHead(ast.num_leaves);
     }
+    w->predictor->PrepareQuantizedInference();
     return w;
   }();
   return *world;
@@ -165,48 +173,94 @@ TEST(DataPlaneAllocTest, EncoderForwardInferenceIsAllocationFreeWhenWarm) {
   EXPECT_EQ(y->cols(), 16);
 }
 
+// One warm forward of `view` through the fp32 or the int8 tier.
+void PredictTier(const CdmppPredictor& predictor, Precision precision, const AstBatchView& view,
+                 Workspace* ws, double* out, uint64_t* passes = nullptr) {
+  if (precision == Precision::kInt8) {
+    predictor.PredictBatchedQuantized(view, ws, out, passes);
+  } else {
+    predictor.PredictBatched(view, ws, out, passes);
+  }
+}
+
 TEST(DataPlaneAllocTest, PredictBatchedSteadyStateIsAllocationFree) {
   TestWorld& w = World();
   AstBatchView view = ViewOf(w);
-  Workspace ws;
-  std::vector<double> out(view.size(), 0.0);
-  // Two warm-up passes: the first grows every arena/plan buffer, the second
-  // proves the shapes stabilized.
-  w.predictor->PredictBatched(view, &ws, out.data());
-  w.predictor->PredictBatched(view, &ws, out.data());
-  const long before = g_thread_allocs;
-  uint64_t passes = 0;
-  w.predictor->PredictBatched(view, &ws, out.data(), &passes);
-  const long delta = g_thread_allocs - before;
-  EXPECT_EQ(delta, 0) << "steady-state PredictBatched must be allocation-free per request";
-  EXPECT_GE(passes, 1u);
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    SCOPED_TRACE(PrecisionName(precision));
+    Workspace ws;
+    std::vector<double> out(view.size(), 0.0);
+    // Two warm-up passes: the first grows every arena/plan buffer, the second
+    // proves the shapes stabilized.
+    PredictTier(*w.predictor, precision, view, &ws, out.data());
+    PredictTier(*w.predictor, precision, view, &ws, out.data());
+    const long before = g_thread_allocs;
+    uint64_t passes = 0;
+    PredictTier(*w.predictor, precision, view, &ws, out.data(), &passes);
+    const long delta = g_thread_allocs - before;
+    EXPECT_EQ(delta, 0) << "steady-state forward must be allocation-free per request";
+    EXPECT_GE(passes, 1u);
+  }
 }
 
 TEST(DataPlaneAllocTest, ShardedPredictBatchedIsAllocationFreeOnEveryThreadWhenWarm) {
   // The same contract when waves run as parallel regions: the caller's plan
   // and shard table, the leased shard arenas and the pool's region
-  // bookkeeping are all warm after two passes, so no thread allocates.
+  // bookkeeping are all warm after two passes, so no thread allocates. Both
+  // tiers: the int8 forward stages its quantized codes in the same arenas.
   TestWorld& w = World();
   AstBatchView view = ViewOf(w);
-  for (int threads : {2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ThreadPool pool(threads);
-    ThreadPool::SetGlobalForTesting(&pool);
-    Workspace ws;
-    std::vector<double> out(view.size(), 0.0);
-    w.predictor->PredictBatched(view, &ws, out.data());
-    w.predictor->PredictBatched(view, &ws, out.data());
-    const obs::Counter& forked =
-        obs::MetricsRegistry::Global().GetCounter("parallel_for.forked");
-    const uint64_t forks_before = forked.Value();
-    const long before = g_all_allocs.load();
-    w.predictor->PredictBatched(view, &ws, out.data());
-    const long delta = g_all_allocs.load() - before;
-    const uint64_t forks = forked.Value() - forks_before;
-    ThreadPool::SetGlobalForTesting(nullptr);
-    EXPECT_EQ(delta, 0) << "a warm sharded PredictBatched touched the heap";
-    EXPECT_GT(forks, 0u) << "no wave ran as a parallel region";
+  for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE(std::string(PrecisionName(precision)) + " threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      ThreadPool::SetGlobalForTesting(&pool);
+      Workspace ws;
+      std::vector<double> out(view.size(), 0.0);
+      PredictTier(*w.predictor, precision, view, &ws, out.data());
+      PredictTier(*w.predictor, precision, view, &ws, out.data());
+      const obs::Counter& forked =
+          obs::MetricsRegistry::Global().GetCounter("parallel_for.forked");
+      const uint64_t forks_before = forked.Value();
+      const long before = g_all_allocs.load();
+      PredictTier(*w.predictor, precision, view, &ws, out.data());
+      const long delta = g_all_allocs.load() - before;
+      const uint64_t forks = forked.Value() - forks_before;
+      ThreadPool::SetGlobalForTesting(nullptr);
+      EXPECT_EQ(delta, 0) << "a warm sharded forward touched the heap";
+      EXPECT_GT(forks, 0u) << "no wave ran as a parallel region";
+    }
   }
+}
+
+// FNV-1a over the bit patterns of a prediction vector.
+uint64_t PredictionHash(const std::vector<double>& preds) {
+  uint64_t h = 1469598103934665603ull;
+  for (double p : preds) {
+    uint64_t b = 0;
+    std::memcpy(&b, &p, sizeof(b));
+    h = (h ^ b) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The int8 tier's predictions on the 2-layer fixture, pinned bit for bit.
+// The int8 GEMMs are ISA-independent, but the fp32 stages around them (input
+// projection, layer-0 Q/K/V, attention scores, LayerNorms, the decoder's last
+// projection) round differently under the AVX2 and scalar kernels, so each
+// ISA has its own pattern.
+TEST(QuantizedGoldenTest, TwoLayerPredictionsMatchGoldenBits) {
+  constexpr uint64_t kAvx2Golden = 0xb16ce22e2fd2608eull;
+  constexpr uint64_t kScalarGolden = 0x557068783bcfa1ffull;
+  SCOPED_TRACE(KernelIsaName(ActiveKernelIsa()));
+  TestWorld& w = World();
+  const std::vector<double> preds = w.predictor->PredictBatchedQuantized(ViewOf(w));
+  ASSERT_EQ(preds.size(), w.workload.size());
+  for (double p : preds) {
+    EXPECT_TRUE(std::isfinite(p) && p > 0.0);
+  }
+  EXPECT_EQ(PredictionHash(preds),
+            ActiveKernelIsa() == KernelIsa::kAvx2 ? kAvx2Golden : kScalarGolden);
 }
 
 TEST(DataPlaneEquivalenceTest, EmptyViewPredictsNothing) {
