@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "src/ml/cmd.h"
 #include "src/ml/transforms.h"
+#include "src/nn/quantize.h"
 #include "src/obs/trace.h"
 #include "src/support/check.h"
 #include "src/support/parallel_for.h"
@@ -36,6 +38,19 @@ void PackSampleRows(const Matrix& x, int seq_len, int s0, int s1, Matrix* out) {
       }
     }
   }
+}
+
+// The view whose position i is dataset sample indices[i].
+AstBatchView SampleView(const Dataset& ds, const std::vector<int>& indices) {
+  AstBatchView view;
+  view.asts.reserve(indices.size());
+  view.device_ids.reserve(indices.size());
+  for (int idx : indices) {
+    const Sample& s = ds.samples[static_cast<size_t>(idx)];
+    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
+    view.device_ids.push_back(s.device_id);
+  }
+  return view;
 }
 
 // Runs fn(scratch, s0, s1) over contiguous sample shards [s0, s1) of a
@@ -98,14 +113,22 @@ size_t CdmppPredictor::NumParams() {
 void CdmppPredictor::EnsureHeads(const Dataset& ds, const std::vector<int>& indices) {
   bool added = false;
   for (const auto& [leaves, _] : GroupByLeafCount(ds, indices)) {
-    if (leaf_heads_.find(leaves) == leaf_heads_.end()) {
-      leaf_heads_[leaves] =
-          std::make_unique<Linear>(leaves * config_.d_model, config_.z_dim, &rng_);
+    if (!HasHead(leaves)) {
+      AddHead(leaves);
       added = true;
     }
   }
   if (added || optimizer_ == nullptr) {
     RebuildOptimizer();
+  }
+}
+
+void CdmppPredictor::AddHead(int leaf_count) {
+  Linear* head = (leaf_heads_[leaf_count] = std::make_unique<Linear>(
+                      leaf_count * config_.d_model, config_.z_dim, &rng_))
+                     .get();
+  if (quantized_ready()) {
+    PackHeadInt8(leaf_count, head);
   }
 }
 
@@ -125,7 +148,7 @@ void CdmppPredictor::RebuildOptimizer() {
   }
 }
 
-void CdmppPredictor::ForwardPass(const Dataset& ds, const Batch& batch) {
+void CdmppPredictor::ForwardPass(const AstBatchView& view, const Batch& batch) {
   const int b = static_cast<int>(batch.sample_indices.size());
   const int l = batch.seq_len;
   auto head_it = leaf_heads_.find(l);
@@ -141,12 +164,13 @@ void CdmppPredictor::ForwardPass(const Dataset& ds, const Batch& batch) {
   RunSampleShards(b, [&](Workspace* scratch, int s0, int s1) {
     const int r0 = s0 * l;
     const int r1 = s1 * l;
-    BuildFeatureRowsInto(ds, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta, &feat_);
+    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta,
+                           feat_.Row(r0));
     const Matrix& h =
         encoder_->ForwardRows(input_proj_->ForwardRows(feat_, r0, r1), r0, r1, scratch);
     PackSampleRows(h, l, s0, s1, &packed_);
     const Matrix& zx = head.ForwardRows(packed_, s0, s1);
-    BuildDeviceFeatureRowsInto(ds, batch, s0, s1, &dev_);
+    BuildDeviceFeatureMatrixInto(view, batch, s0, s1, dev_.Row(s0));
     const Matrix& zv = device_mlp_->ForwardRows(dev_, s0, s1);
     for (int i = s0; i < s1; ++i) {
       float* row = z_.Row(i);
@@ -282,6 +306,7 @@ void CdmppPredictor::RestoreParams(const std::vector<Matrix>& snapshot) {
 std::vector<Matrix> CdmppPredictor::ExportParams() { return SnapshotParams(); }
 
 void CdmppPredictor::ImportParams(const std::vector<Matrix>& params) {
+  DropInt8Packs();
   RestoreParams(params);
 }
 
@@ -333,7 +358,15 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
                                        const std::vector<int>& source_domain,
                                        const std::vector<int>& target_domain) {
   TrainStats stats;
+  DropInt8Packs();  // training changes the weights they snapshot
   auto buckets = GroupByLeafCount(ds, train);
+  // Batches hold dataset sample indices, so position i of the view the
+  // training step featurizes through is sample i.
+  const AstBatchView view = [&ds] {
+    std::vector<int> all_samples(ds.samples.size());
+    std::iota(all_samples.begin(), all_samples.end(), 0);
+    return SampleView(ds, all_samples);
+  }();
 
   // Pre-transform all labels once.
   std::vector<float> transformed(ds.samples.size(), 0.0f);
@@ -375,7 +408,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       step_heads_.clear();
 
       // ---- Prediction loss pass. ----
-      ForwardPass(ds, batch);
+      ForwardPass(view, batch);
       std::vector<float> preds(batch.sample_indices.size());
       std::vector<float> targets(batch.sample_indices.size());
       for (size_t i = 0; i < batch.sample_indices.size(); ++i) {
@@ -400,9 +433,9 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
             update_source ? src_batches[step_in_epoch % src_batches.size()]
                           : tgt_batches[step_in_epoch % tgt_batches.size()];
         // Constant side first (its caches are overwritten by the grad side).
-        ForwardPass(ds, const_batch);
+        ForwardPass(view, const_batch);
         Matrix z_const = z_;
-        ForwardPass(ds, grad_batch);
+        ForwardPass(view, grad_batch);
         Matrix dz(z_.rows(), z_.cols());
         Matrix dz_const(z_const.rows(), z_const.cols());
         double cmd = CmdDistanceWithGrad(z_, z_const, config_.cmd_moments,
@@ -448,32 +481,23 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
   return stats;
 }
 
-std::vector<double> CdmppPredictor::PredictSamples(const Dataset& ds,
-                                                   const std::vector<int>& indices,
-                                                   Matrix* z) {
+void CdmppPredictor::PredictSamples(const Dataset& ds, const std::vector<int>& indices,
+                                    double* out, Matrix* z) {
   CDMPP_CHECK(fitted_);
   EnsureHeads(ds, indices);
-  AstBatchView view;
-  view.asts.reserve(indices.size());
-  view.device_ids.reserve(indices.size());
-  for (int idx : indices) {
-    const Sample& s = ds.samples[static_cast<size_t>(idx)];
-    view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
-    view.device_ids.push_back(s.device_id);
-  }
   // Call-local arenas rather than global-pool leases: validation runs
   // between training epochs, and pooled arenas would pin a whole wave's
   // footprint next to the training caches for the life of the process.
   Workspace ws;
   WorkspacePool shard_arenas;
-  std::vector<double> out(indices.size(), 0.0);
-  PredictBatchedImpl(view, &ws, out.data(), /*num_forward_passes=*/nullptr, /*quantized=*/false,
-                     &shard_arenas, z);
-  return out;
+  PredictBatchedImpl(SampleView(ds, indices), &ws, out, /*num_forward_passes=*/nullptr,
+                     Precision::kFp32, &shard_arenas, z);
 }
 
 std::vector<double> CdmppPredictor::Predict(const Dataset& ds, const std::vector<int>& indices) {
-  return PredictSamples(ds, indices, /*z=*/nullptr);
+  std::vector<double> out(indices.size(), 0.0);
+  PredictSamples(ds, indices, out.data(), /*z=*/nullptr);
+  return out;
 }
 
 double CdmppPredictor::PredictAst(const CompactAst& ast, int device_id) {
@@ -486,7 +510,12 @@ double CdmppPredictor::PredictAst(const CompactAst& ast, int device_id) {
   return PredictBatched(view)[0];
 }
 
-std::vector<float> CdmppPredictor::HeadColumnScales(int leaf_count, const Linear& head) const {
+void CdmppPredictor::PackInt8(Linear* linear, const std::vector<float>& col_scales) {
+  linear->PackInt8(col_scales);
+  int8_linears_.push_back(linear);
+}
+
+void CdmppPredictor::PackHeadInt8(int leaf_count, Linear* head) {
   // A head's input is the packed encoder output [B, leaf_count * d_model]:
   // leaf_count tiled copies of the last layer's norm2 channel profile, which
   // is statically estimable from its gamma/beta — so the largest GEMM in the
@@ -497,36 +526,61 @@ std::vector<float> CdmppPredictor::HeadColumnScales(int leaf_count, const Linear
   for (int t = 0; t < leaf_count; ++t) {
     std::copy(est.begin(), est.end(), tiled.begin() + static_cast<size_t>(t) * est.size());
   }
-  return BalancedColumnScales(tiled, head.weight());
+  PackInt8(head, BalancedColumnScales(tiled, head->weight()));
+}
+
+void CdmppPredictor::DropInt8Packs() {
+  for (Linear* linear : int8_linears_) {
+    linear->DropInt8();
+  }
+  int8_linears_.clear();
 }
 
 void CdmppPredictor::PrepareQuantizedInference() {
   CDMPP_CHECK_MSG(fitted_, "quantize an unfitted predictor: run Pretrain first");
-  q_leaf_heads_.clear();
-  for (const auto& [leaves, head] : leaf_heads_) {
-    q_leaf_heads_[leaves] =
-        std::make_unique<QuantizedLinear>(*head, HeadColumnScales(leaves, *head));
+  DropInt8Packs();
+  // The int8 coverage policy (README "Int8 quantized serving"). Three GEMMs
+  // stay fp32, each from a measured accuracy/throughput trade:
+  //   * the input projection: its quantization noise would feed the whole
+  //     encoder stack, for ~1% of model FLOPs;
+  //   * layer 0's Q/K/V: their input (the input projection's output) has no
+  //     static channel profile, and plain per-row quantization there
+  //     breached the 1% end-to-end agreement (pre-softmax noise compounds
+  //     through every later stage);
+  //   * the decoder's final [*, 1] projection: its absolute noise lands on
+  //     the transformed label, which the exponential-tailed inverse Box-Cox
+  //     amplifies.
+  // Per-channel activation scales come data-free from the LayerNorm feeding
+  // a GEMM: layer i >= 1's Q/K/V from layer i-1's norm2 (post-LN), one
+  // vector balanced over all three so attention quantizes its input once;
+  // ff1 from norm1; the heads from the last norm2. Inputs whose profile is
+  // data-dependent (the attention context, ReLU outputs, device features)
+  // get plain per-row scales.
+  for (size_t i = 0; i < encoder_->num_layers(); ++i) {
+    TransformerEncoderLayer& layer = encoder_->layer(i);
+    MultiHeadSelfAttention& attn = layer.attn();
+    if (i > 0) {
+      const std::vector<float> qkv_scales =
+          BalancedColumnScales(LayerNormActAbsMax(encoder_->layer(i - 1).norm2()),
+                               {&attn.wq().weight(), &attn.wk().weight(), &attn.wv().weight()});
+      for (Linear* w : {&attn.wq(), &attn.wk(), &attn.wv()}) {
+        PackInt8(w, qkv_scales);
+      }
+    }
+    PackInt8(&attn.wo(), {});
+    PackInt8(&layer.ff1(),
+             BalancedColumnScales(LayerNormActAbsMax(layer.norm1()), layer.ff1().weight()));
+    PackInt8(&layer.ff2(), {});
   }
-  q_device_mlp_ = std::make_unique<QuantizedMlp>(*device_mlp_);
-  // The decoder's final [*, 1] projection stays fp32: its absolute noise
-  // hits the transformed label directly (see QuantizedMlp in quantize.h).
-  q_decoder_ = std::make_unique<QuantizedMlp>(*decoder_, /*num_fp32_tail_layers=*/1);
-  // Encoder weight GEMMs (the bulk of serving FLOPs).
-  q_encoder_ = std::make_unique<QuantizedTransformerEncoder>(*encoder_);
-}
-
-bool CdmppPredictor::HasQuantizedHead(int leaf_count) const {
-  return q_leaf_heads_.find(leaf_count) != q_leaf_heads_.end();
-}
-
-void CdmppPredictor::EnsureQuantizedHead(int leaf_count) {
-  EnsureHead(leaf_count);
-  if (HasQuantizedHead(leaf_count)) {
-    return;
+  for (auto& [leaves, head] : leaf_heads_) {
+    PackHeadInt8(leaves, head.get());
   }
-  const Linear& head = *leaf_heads_.at(leaf_count);
-  q_leaf_heads_[leaf_count] =
-      std::make_unique<QuantizedLinear>(head, HeadColumnScales(leaf_count, head));
+  for (size_t i = 0; i < device_mlp_->num_linear_layers(); ++i) {
+    PackInt8(&device_mlp_->linear_layer(i), {});
+  }
+  for (size_t i = 0; i + 1 < decoder_->num_linear_layers(); ++i) {
+    PackInt8(&decoder_->linear_layer(i), {});
+  }
 }
 
 bool CdmppPredictor::HasHead(int leaf_count) const {
@@ -538,8 +592,7 @@ void CdmppPredictor::EnsureHead(int leaf_count) {
   if (HasHead(leaf_count)) {
     return;
   }
-  leaf_heads_[leaf_count] =
-      std::make_unique<Linear>(leaf_count * config_.d_model, config_.z_dim, &rng_);
+  AddHead(leaf_count);
   RebuildOptimizer();
 }
 
@@ -556,7 +609,7 @@ std::vector<double> CdmppPredictor::PredictBatched(const AstBatchView& view,
 
 void CdmppPredictor::PredictBatched(const AstBatchView& view, Workspace* ws, double* out,
                                     uint64_t* num_forward_passes) const {
-  PredictBatchedImpl(view, ws, out, num_forward_passes, /*quantized=*/false,
+  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kFp32,
                      &WorkspacePool::Global());
 }
 
@@ -567,7 +620,7 @@ void CdmppPredictor::PredictBatchedQuantized(const AstBatchView& view, Workspace
                   "int8 serving before PrepareQuantizedInference()");
   CDMPP_CHECK_MSG(mode != Precision::kFp32,
                   "PredictBatchedQuantized called with fp32 mode; use PredictBatched");
-  PredictBatchedImpl(view, ws, out, num_forward_passes, /*quantized=*/true,
+  PredictBatchedImpl(view, ws, out, num_forward_passes, Precision::kInt8,
                      &WorkspacePool::Global());
 }
 
@@ -640,7 +693,7 @@ double ForwardFlopsPerToken(const PredictorConfig& c) {
 }  // namespace
 
 void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                                        uint64_t* num_forward_passes, bool quantized,
+                                        uint64_t* num_forward_passes, Precision precision,
                                         WorkspacePool* shard_pool, Matrix* z) const {
   CDMPP_CHECK(fitted_);
   CDMPP_CHECK(view.asts.size() == view.device_ids.size());
@@ -652,7 +705,7 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
     }
     return;
   }
-  CDMPP_CHECK(ws != nullptr && out != nullptr);
+  CDMPP_CHECK(ws != nullptr && (out != nullptr || z != nullptr));
   // The calling thread's instance, bound once: a chunk body must not name
   // the thread_local itself, or it would resolve to the executing worker's.
   static thread_local ShardPlan tls_plan;
@@ -693,7 +746,7 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
       // region, GEMMs large enough still fork their row panels.
       for (; bi < wave_end; ++bi) {
         const Batch& b = plan.batch(bi);
-        ForwardShard(view, b, 0, static_cast<int>(b.sample_indices.size()), quantized, ws, out,
+        ForwardShard(view, b, 0, static_cast<int>(b.sample_indices.size()), precision, ws, out,
                      z);
       }
       wave_end = wave_begin;
@@ -736,7 +789,7 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
       for (int64_t g = shard_begin[static_cast<size_t>(j0)];
            g < shard_begin[static_cast<size_t>(j1)]; ++g) {
         const Segment& seg = segments[static_cast<size_t>(g)];
-        ForwardShard(view, *seg.batch, seg.s0, seg.s1, quantized, scratch, out, z);
+        ForwardShard(view, *seg.batch, seg.s0, seg.s1, precision, scratch, out, z);
       }
     };
     ShardArenas arenas(ws, shard_pool);
@@ -761,20 +814,13 @@ void CdmppPredictor::PredictBatchedImpl(const AstBatchView& view, Workspace* ws,
 }
 
 void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                                  bool quantized, Workspace* ws, double* out,
+                                  Precision precision, Workspace* ws, double* out,
                                   Matrix* z_out) const {
   const int b = s1 - s0;
   const int l = batch.seq_len;
   auto head_it = leaf_heads_.find(l);
   CDMPP_CHECK_MSG(head_it != leaf_heads_.end(),
                   "no head for this leaf count; call EnsureHead first");
-  const QuantizedLinear* q_head = nullptr;
-  if (quantized) {
-    auto q_it = q_leaf_heads_.find(l);
-    CDMPP_CHECK_MSG(q_it != q_leaf_heads_.end(),
-                    "no quantized head for this leaf count; call EnsureQuantizedHead first");
-    q_head = q_it->second.get();
-  }
 
   // Per-stage trace spans: no-ops unless the serving layer sampled this
   // batch and bound a Trace to the executing thread, which only the caller
@@ -787,34 +833,29 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
   {
     obs::ScopedSpan span(obs::Stage::kFeaturize);
     const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
-    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta, x);
+    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta,
+                           x->data());
   }
   Matrix* h = nullptr;
   {
     obs::ScopedSpan span(obs::Stage::kEncoder);
-    // The input projection stays fp32 in every mode (its quantization noise
-    // would feed the whole stack for ~1% of model FLOPs); int8 swaps the
-    // encoder stack for its quantized snapshot.
-    Matrix* proj = input_proj_->ForwardInference(*x, ws);
-    h = quantized ? q_encoder_->ForwardInference(*proj, l, ws)
-                  : encoder_->ForwardInference(*proj, l, ws);
+    Matrix* proj = input_proj_->ForwardInference(*x, ws, kernels::Activation::kNone, precision);
+    h = encoder_->ForwardInference(*proj, l, ws, precision);
   }
   Matrix* zx = nullptr;
   {
     obs::ScopedSpan span(obs::Stage::kHeads);
     Matrix* packed = ws->NewMatrix(b, l * config_.d_model);
     PackSampleRows(*h, l, 0, b, packed);
-    zx = quantized ? q_head->ForwardInference(*packed, ws)
-                   : head_it->second->ForwardInference(*packed, ws);
+    zx = head_it->second->ForwardInference(*packed, ws, kernels::Activation::kNone, precision);
   }
 
   Matrix* zv = nullptr;
   {
     obs::ScopedSpan span(obs::Stage::kDeviceMlp);
     Matrix* dev = ws->NewMatrix(b, kDeviceFeatDim);
-    BuildDeviceFeatureMatrixInto(view, batch, s0, s1, dev);
-    zv = quantized ? q_device_mlp_->ForwardInference(*dev, ws)
-                   : device_mlp_->ForwardInference(*dev, ws);
+    BuildDeviceFeatureMatrixInto(view, batch, s0, s1, dev->data());
+    zv = device_mlp_->ForwardInference(*dev, ws, precision);
   }
 
   Matrix* preds = nullptr;
@@ -834,8 +875,10 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
                   z_out->Row(batch.sample_indices[static_cast<size_t>(s0 + i)]));
       }
     }
-    preds = quantized ? q_decoder_->ForwardInference(*z, ws)
-                      : decoder_->ForwardInference(*z, ws);
+    if (out == nullptr) {
+      return;  // latents only (EncodeLatent)
+    }
+    preds = decoder_->ForwardInference(*z, ws, precision);
   }
   {
     // "Dequant" in the serving sense: map the transformed model output back
@@ -890,7 +933,7 @@ EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& in
 
 Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& indices) {
   Matrix z(static_cast<int>(indices.size()), config_.z_dim + config_.device_embed_dim);
-  PredictSamples(ds, indices, &z);
+  PredictSamples(ds, indices, /*out=*/nullptr, &z);
   return z;
 }
 

@@ -20,7 +20,6 @@
 #include "src/ml/transforms.h"
 #include "src/nn/loss.h"
 #include "src/nn/optimizer.h"
-#include "src/nn/quantize.h"
 #include "src/nn/transformer.h"
 #include "src/nn/workspace.h"
 #include "src/support/cpu_features.h"
@@ -149,38 +148,25 @@ class CdmppPredictor {
 
   // ---- Int8 quantized serving path (CDMPP_PRECISION=int8) ------------------
   //
-  // PredictBatchedQuantized is PredictBatched with the weight GEMMs routed
-  // through the int8 symmetric-quantized kernel tier (src/nn/quantize.h):
-  // int8 GEMMs with per-output-channel weight scales and dynamic per-row
-  // activation scales, covering the transformer encoder's QKV/output
-  // projections and FFN pair (the bulk of serving FLOPs, with per-channel
-  // activation scales derived from the LayerNorms — see
-  // QuantizedTransformerEncoder), plus the per-leaf-count heads, the device
-  // MLP, and the decoder hiddens. `mode` must be Precision::kInt8. Three
-  // fringes stay fp32, each from a measured accuracy/throughput trade:
-  // attention's activation×activation score/context GEMMs (both operands
-  // dynamic — ROADMAP follow-on), the
-  // input projection (its quantization noise feeds the whole encoder stack
-  // while its GEMM is ~1% of model FLOPs), and the decoder's final [*, 1]
-  // projection (absolute noise there lands directly on the transformed label
-  // under the exponential-tailed inverse Box-Cox). See the README design
-  // note for the measured per-stage error ladder. Same thread-safety
-  // contract as PredictBatched (const, lock-free, reads quantized snapshots
-  // only), and — because activation scales are per row — the same bitwise
+  // PredictBatchedQuantized is PredictBatched with the call's precision set
+  // to int8: every Linear that PrepareQuantizedInference packed runs the
+  // int8 kernel tier (src/nn/quantize.h; int8 GEMMs with per-output-channel
+  // weight scales and dynamic per-row activation scales) and everything
+  // else runs fp32. PrepareQuantizedInference is the one place the coverage
+  // policy is applied (README "Int8 quantized serving"). `mode` must be
+  // Precision::kInt8. Same thread-safety contract as PredictBatched, and,
+  // because activation scales are per row, the same bitwise
   // batch-size-invariance. Results agree with fp32 to <= 1% relative on the
-  // serving fixtures (tests/serve_test.cc), not bitwise: that is the
-  // precision/throughput trade the int8 tier makes.
+  // 1-layer serving fixture (tests/serve_test.cc), not bitwise: that is the
+  // precision/throughput trade the int8 tier makes. fp32 and int8 forwards
+  // may run on one predictor in the same process.
   //
-  // Requires PrepareQuantizedInference() after fitting (and again after any
-  // parameter mutation — the quantized snapshots do not track training), plus
-  // a quantized head for every leaf count served (EnsureQuantizedHead, which
-  // the PredictionService calls under its write lock).
+  // Requires PrepareQuantizedInference() after fitting. The packs are
+  // snapshots of the fp32 weights, so training and ImportParams drop them:
+  // quantized_ready() turns false until the next PrepareQuantizedInference.
+  // EnsureHead packs the heads it creates on a prepared predictor.
   void PrepareQuantizedInference();
-  bool quantized_ready() const { return q_decoder_ != nullptr && q_encoder_ != nullptr; }
-  bool HasQuantizedHead(int leaf_count) const;
-  // Creates the fp32 head if missing, then its quantized snapshot. Mutating —
-  // serialize against concurrent PredictBatched*/PredictAst calls.
-  void EnsureQuantizedHead(int leaf_count);
+  bool quantized_ready() const { return !int8_linears_.empty(); }
   std::vector<double> PredictBatchedQuantized(const AstBatchView& view,
                                               uint64_t* num_forward_passes = nullptr,
                                               Precision mode = Precision::kInt8) const;
@@ -192,9 +178,9 @@ class CdmppPredictor {
   bool fitted() const { return fitted_; }
   // True if a per-leaf-count head exists for `leaf_count`.
   bool HasHead(int leaf_count) const;
-  // Creates the head for `leaf_count` if missing and rebuilds the optimizer
-  // so later training sees every parameter. Mutating — serialize against
-  // concurrent PredictBatched calls.
+  // Creates the head for `leaf_count` if missing (int8-packed on a prepared
+  // predictor) and rebuilds the optimizer so later training sees every
+  // parameter. Mutating — serialize against concurrent PredictBatched calls.
   void EnsureHead(int leaf_count);
 
   EvalStats Evaluate(const Dataset& ds, const std::vector<int>& indices);
@@ -215,27 +201,35 @@ class CdmppPredictor {
  private:
   // Creates per-leaf-count heads for every leaf count in the dataset subset.
   void EnsureHeads(const Dataset& ds, const std::vector<int>& indices);
-  // Per-channel activation scales for a head's packed encoder-output input
-  // (the last layer's norm2 profile tiled leaf_count times).
-  std::vector<float> HeadColumnScales(int leaf_count, const Linear& head) const;
+  // Creates the head for `leaf_count`, int8-packed when quantized_ready();
+  // the caller rebuilds the optimizer.
+  void AddHead(int leaf_count);
+  // Int8 packing (PrepareQuantizedInference's policy): PackInt8 packs one
+  // Linear and records it in int8_linears_; PackHeadInt8 packs a head with
+  // per-channel scales for its packed encoder-output input (the last
+  // layer's norm2 profile tiled leaf_count times). DropInt8Packs drops
+  // every pack.
+  void PackInt8(Linear* linear, const std::vector<float>& col_scales);
+  void PackHeadInt8(int leaf_count, Linear* head);
+  void DropInt8Packs();
   void RebuildOptimizer();
   // Every trainable tensor in a fixed order; with `step_heads_only`, only the
   // heads in step_heads_ among the per-leaf-count heads.
   void CollectAllParams(std::vector<Param*>* out, bool step_heads_only = false);
 
-  // Predict on dataset samples, in call-local arenas; with `z`, also
-  // EncodeLatent's latents, one row per sample.
-  std::vector<double> PredictSamples(const Dataset& ds, const std::vector<int>& indices,
-                                     Matrix* z);
-  // Shared serving forward: fp32 and int8 differ only in which layer
-  // snapshots run the weight-GEMM stages. The leaf-count plan is drained in
-  // waves of at most config().batch_size rows; each wave runs as one
-  // parallel region over row shards (README "Threading model"). The first
-  // shard runs in `ws`, the others in arenas leased from `shard_pool`. A
-  // non-null `z` ([view.size(), z_dim + device_embed_dim]) also receives
-  // each request's latent at its view position.
+  // Predict on dataset samples, in call-local arenas: predictions to `out`
+  // and/or EncodeLatent's latents to `z`, one row per sample.
+  void PredictSamples(const Dataset& ds, const std::vector<int>& indices, double* out,
+                      Matrix* z);
+  // Shared serving forward at the call's precision. The leaf-count plan is
+  // drained in waves of at most config().batch_size rows; each wave runs as
+  // one parallel region over row shards (README "Threading model"). The
+  // first shard runs in `ws`, the others in arenas leased from `shard_pool`.
+  // A non-null `z` ([view.size(), z_dim + device_embed_dim]) also receives
+  // each request's latent at its view position; with a null `out` the
+  // forward stops there (no decoder, no inverse transform).
   void PredictBatchedImpl(const AstBatchView& view, Workspace* ws, double* out,
-                          uint64_t* num_forward_passes, bool quantized,
+                          uint64_t* num_forward_passes, Precision precision,
                           WorkspacePool* shard_pool, Matrix* z = nullptr) const;
   // One row shard of the serving forward: samples [s0, s1) of `batch` run
   // featurize -> input projection -> encoder -> head, device MLP -> decoder
@@ -243,15 +237,16 @@ class CdmppPredictor {
   // write their predictions to `out` (and latents to `z_out`, when non-null)
   // at their view positions.
   void ForwardShard(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                    bool quantized, Workspace* ws, double* out, Matrix* z_out) const;
+                    Precision precision, Workspace* ws, double* out, Matrix* z_out) const;
 
   // The training step, as a few parallel regions over contiguous sample
   // shards (README "Training step"; layer row primitives in src/nn/layers.h).
-  // ForwardPass sizes every full-batch cache for `batch`, then runs one
-  // region whose shards each featurize their samples and run them through
-  // the input projection, encoder, head, device MLP and decoder. It leaves
-  // z in z_ and the predictions in decoder_->output().
-  void ForwardPass(const Dataset& ds, const Batch& batch);
+  // ForwardPass sizes every full-batch cache for `batch` (whose sample
+  // indices are positions into `view`), then runs one region whose shards
+  // each featurize their samples and run them through the input projection,
+  // encoder, head, device MLP and decoder. It leaves z in z_ and the
+  // predictions in decoder_->output().
+  void ForwardPass(const AstBatchView& view, const Batch& batch);
   // Sizes every training cache for a b-sample, l-leaf step through `head`;
   // ReleaseStepCaches frees them all (BeginStep(0)) once a training call is
   // done, so an idle model holds only its parameters.
@@ -293,11 +288,8 @@ class CdmppPredictor {
   std::unique_ptr<LabelTransform> label_transform_;
   bool fitted_ = false;
 
-  // Int8 calibrated snapshots (PrepareQuantizedInference / EnsureQuantizedHead).
-  std::map<int, std::unique_ptr<QuantizedLinear>> q_leaf_heads_;
-  std::unique_ptr<QuantizedMlp> q_device_mlp_;
-  std::unique_ptr<QuantizedMlp> q_decoder_;
-  std::unique_ptr<QuantizedTransformerEncoder> q_encoder_;
+  // Every Linear holding an int8 pack; empty until PrepareQuantizedInference.
+  std::vector<Linear*> int8_linears_;
 
   // Training-step state: the shape and head of the last ForwardPass and the
   // full-batch caches that live outside the layers.

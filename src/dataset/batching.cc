@@ -10,8 +10,7 @@ namespace {
 
 // One sample's [seq_len, kFeatDim] feature rows, written from `dst` on: each
 // leaf's computation vector, standardized by `scaler` (may be null), then
-// the positional encoding added if `use_pe`. The dataset and view builders
-// differ only in where a sample's rows go.
+// the positional encoding added if `use_pe`.
 void LeafFeatureRowsInto(const CompactAst& ast, int seq_len, const StandardScaler* scaler,
                          bool use_pe, double theta, float* dst) {
   CDMPP_CHECK(ast.num_leaves == seq_len);
@@ -70,43 +69,6 @@ std::vector<Batch> MakeBatches(const std::map<int, std::vector<int>>& buckets, i
   return batches;
 }
 
-Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardScaler* scaler,
-                          bool use_pe, double theta) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  Matrix x(b * batch.seq_len, kFeatDim);
-  BuildFeatureRowsInto(ds, batch, 0, b, scaler, use_pe, theta, &x);
-  return x;
-}
-
-void BuildFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
-                          const StandardScaler* scaler, bool use_pe, double theta, Matrix* x) {
-  const int l = batch.seq_len;
-  CDMPP_CHECK(x->rows() == static_cast<int>(batch.sample_indices.size()) * l &&
-              x->cols() == kFeatDim);
-  for (int i = s0; i < s1; ++i) {
-    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    LeafFeatureRowsInto(ds.programs[static_cast<size_t>(s.program_index)].ast, l, scaler, use_pe,
-                        theta, x->Row(i * l));
-  }
-}
-
-Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch) {
-  const int b = static_cast<int>(batch.sample_indices.size());
-  Matrix out(b, kDeviceFeatDim);
-  BuildDeviceFeatureRowsInto(ds, batch, 0, b, &out);
-  return out;
-}
-
-void BuildDeviceFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
-                                Matrix* out) {
-  CDMPP_CHECK(out->rows() == static_cast<int>(batch.sample_indices.size()) &&
-              out->cols() == kDeviceFeatDim);
-  for (int i = s0; i < s1; ++i) {
-    const Sample& s = ds.samples[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    ExtractDeviceFeaturesInto(DeviceById(s.device_id), out->Row(i));
-  }
-}
-
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices) {
   size_t total_rows = 0;
   for (int idx : sample_indices) {
@@ -143,38 +105,38 @@ Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
                           const StandardScaler* scaler, bool use_pe, double theta) {
   const int b = static_cast<int>(batch.sample_indices.size());
   Matrix x(b * batch.seq_len, kFeatDim);
-  BuildFeatureMatrixInto(view, batch, 0, b, scaler, use_pe, theta, &x);
+  BuildFeatureMatrixInto(view, batch, 0, b, scaler, use_pe, theta, x.data());
   return x;
 }
 
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                             const StandardScaler* scaler, bool use_pe, double theta,
-                            Matrix* x) {
+                            float* dst) {
   const int l = batch.seq_len;
   CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
-  CDMPP_CHECK(x->rows() == (s1 - s0) * l && x->cols() == kFeatDim);
   for (int i = s0; i < s1; ++i) {
     const CompactAst& ast =
         *view.asts[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    LeafFeatureRowsInto(ast, l, scaler, use_pe, theta, x->Row((i - s0) * l));
+    LeafFeatureRowsInto(ast, l, scaler, use_pe, theta,
+                        dst + static_cast<size_t>(i - s0) * l * kFeatDim);
   }
 }
 
 Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch) {
   const int b = static_cast<int>(batch.sample_indices.size());
   Matrix out(b, kDeviceFeatDim);
-  BuildDeviceFeatureMatrixInto(view, batch, 0, b, &out);
+  BuildDeviceFeatureMatrixInto(view, batch, 0, b, out.data());
   return out;
 }
 
 void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                                  Matrix* out) {
+                                  float* dst) {
   CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
-  CDMPP_CHECK(out->rows() == s1 - s0 && out->cols() == kDeviceFeatDim);
   for (int i = s0; i < s1; ++i) {
     const int device_id =
         view.device_ids[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    ExtractDeviceFeaturesInto(DeviceById(device_id), out->Row(i - s0));
+    ExtractDeviceFeaturesInto(DeviceById(device_id),
+                              dst + static_cast<size_t>(i - s0) * kDeviceFeatDim);
   }
 }
 

@@ -28,23 +28,6 @@ struct Batch {
 std::vector<Batch> MakeBatches(const std::map<int, std::vector<int>>& buckets, int batch_size,
                                Rng* rng);
 
-// Builds the [B * seq_len, kFeatDim] feature matrix for a batch: per-leaf
-// computation vectors standardized by `scaler` (may be null), then the
-// positional encoding added if `use_pe`.
-Matrix BuildFeatureMatrix(const Dataset& ds, const Batch& batch, const StandardScaler* scaler,
-                          bool use_pe, double theta = 10000.0);
-
-// Builds the [B, kDeviceFeatDim] device feature matrix for a batch.
-Matrix BuildDeviceFeatureMatrix(const Dataset& ds, const Batch& batch);
-
-// The rows of samples [s0, s1) of the two matrices above, written into
-// full-batch matrices the caller has already sized: the training step's
-// sharded forward fills each shard's rows concurrently, allocation-free.
-void BuildFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
-                          const StandardScaler* scaler, bool use_pe, double theta, Matrix* x);
-void BuildDeviceFeatureRowsInto(const Dataset& ds, const Batch& batch, int s0, int s1,
-                                Matrix* out);
-
 // Stacks the raw (unscaled, no-PE) leaf rows of the given samples; used to
 // fit the feature scaler on training data.
 Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices);
@@ -54,9 +37,10 @@ Matrix StackLeafRows(const Dataset& ds, const std::vector<int>& sample_indices);
 // The online serving layer batches free-standing (program, device) requests
 // that are not dataset samples. AstBatchView adapts a request list to the
 // same leaf-count-bucketed batching machinery: GroupByLeafCount buckets
-// *positions into the view*, MakeBatches chunks the buckets unchanged, and
-// the two matrix builders below mirror their Dataset counterparts row for
-// row, so batched serving reuses the exact feature layout of training.
+// *positions into the view* and MakeBatches chunks the buckets unchanged.
+// The feature builders below are the only ones: training featurizes through
+// a view over its dataset too, so serving and training share one feature
+// layout by construction.
 struct AstBatchView {
   std::vector<const CompactAst*> asts;  // non-owning, parallel to device_ids
   std::vector<int> device_ids;
@@ -67,21 +51,26 @@ struct AstBatchView {
 // Groups view positions [0, view.size()) by each AST's leaf count.
 std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view);
 
-// Feature matrix for a batch whose sample_indices are positions into `view`.
+// The [B * seq_len, kFeatDim] feature matrix for a batch whose
+// sample_indices are positions into `view`: per-leaf computation vectors
+// standardized by `scaler` (may be null), then the positional encoding added
+// if `use_pe`.
 Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
                           const StandardScaler* scaler, bool use_pe, double theta = 10000.0);
 
-// Device feature matrix for a batch of view positions.
+// The [B, kDeviceFeatDim] device feature matrix for a batch of view
+// positions.
 Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch);
 
-// Allocation-free variants for the serving hot path: the rows of samples
-// [s0, s1) of the two matrices above, written from row 0 of a caller-provided
-// matrix (e.g. from a Workspace arena) already sized to (s1 - s0) samples.
+// Allocation-free variants for the sharded forwards: the rows of samples
+// [s0, s1) of the two matrices above, written contiguously from `dst` (the
+// first row of sample s0) into memory the caller has sized: a Workspace
+// matrix for serving, the full-batch cache rows for training.
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                             const StandardScaler* scaler, bool use_pe, double theta,
-                            Matrix* x);
+                            float* dst);
 void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                                  Matrix* out);
+                                  float* dst);
 
 // Reusable replacement for GroupByLeafCount + MakeBatches on the serving hot
 // path: produces the identical deterministic batch sequence (buckets in

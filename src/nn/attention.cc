@@ -10,7 +10,7 @@ namespace cdmpp {
 namespace {
 
 // The per-(sample, head) score/softmax/context loop every attention forward
-// runs (training, fp32 inference and the int8 mirror), over the samples of
+// runs (training, fp32 and int8 inference), over the samples of
 // rows [r0, r1) of the packed [rows, d_model] Q/K/V projections. Per head,
 // the 1/sqrt(d_head) softmax scale is folded into a scaled copy of the Q
 // block in `scratch` (one pass over [L, d_head] instead of over [L, L]
@@ -64,16 +64,28 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int d_model, int num_heads, Rng* 
 }
 
 Matrix* MultiHeadSelfAttention::ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len,
-                                                const Dest& dest, Workspace* scratch) const {
+                                                Precision precision, const Dest& dest,
+                                                Workspace* scratch) const {
   // No-op unless the serving layer bound a sampled trace to this thread.
   obs::ScopedSpan span(obs::Stage::kAttention);
   CDMPP_CHECK(seq_len > 0 && x.cols() == d_model_);
-  wq_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.q);
-  wk_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.k);
-  wv_->ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, dest.v);
+  constexpr kernels::Activation kNone = kernels::Activation::kNone;
+  if (precision == Precision::kInt8 && wq_->SharesInt8Input(*wk_) &&
+      wq_->SharesInt8Input(*wv_)) {
+    // One quantization of x feeds all three projections: the quantize pass
+    // is the int8 encoder's dominant non-GEMM cost.
+    const Linear::QuantizedRows xq = wq_->QuantizeRows(x, r0, r1, scratch);
+    wq_->ForwardQuantizedRowsInto(xq, r0, r1, kNone, dest.q);
+    wk_->ForwardQuantizedRowsInto(xq, r0, r1, kNone, dest.k);
+    wv_->ForwardQuantizedRowsInto(xq, r0, r1, kNone, dest.v);
+  } else {
+    wq_->ForwardRowsInto(x, r0, r1, kNone, precision, dest.q, scratch);
+    wk_->ForwardRowsInto(x, r0, r1, kNone, precision, dest.k, scratch);
+    wv_->ForwardRowsInto(x, r0, r1, kNone, precision, dest.v, scratch);
+  }
   AttentionContextRows(*dest.q, *dest.k, *dest.v, r0, r1, seq_len, num_heads_, dest.attn,
                        scratch, dest.context);
-  wo_->ForwardRowsInto(*dest.context, r0, r1, kernels::Activation::kNone, dest.out);
+  wo_->ForwardRowsInto(*dest.context, r0, r1, kNone, precision, dest.out, scratch);
   return dest.out;
 }
 
@@ -106,7 +118,7 @@ MultiHeadSelfAttention::Dest MultiHeadSelfAttention::CacheDest() {
 
 Matrix& MultiHeadSelfAttention::ForwardRows(const Matrix& x, int r0, int r1,
                                             Workspace* scratch) {
-  return *ForwardRowsInto(x, r0, r1, seq_len_, CacheDest(), scratch);
+  return *ForwardRowsInto(x, r0, r1, seq_len_, Precision::kFp32, CacheDest(), scratch);
 }
 
 void MultiHeadSelfAttention::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
@@ -186,81 +198,9 @@ Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
-                                                 Workspace* ws) const {
-  return ForwardRowsInto(x, 0, x.rows(), seq_len, ArenaDest(x.rows(), ws), ws);
-}
-
-QuantizedMultiHeadSelfAttention::QuantizedMultiHeadSelfAttention(
-    const MultiHeadSelfAttention& attn, const std::vector<float>& act_absmax)
-    : d_model_(attn.d_model()),
-      num_heads_(attn.num_heads()),
-      wo_(attn.wo()) {
-  if (act_absmax.empty()) {
-    // No static channel profile for the input (the encoder's first layer,
-    // fed by the fp32 input projection): keep Q/K/V fp32. Measured: plain
-    // per-row quantization here is what pushed full-encoder agreement past
-    // the 1% contract — the noise enters before every downstream stage and
-    // the softmax's exponentials are sensitive to it.
-    fp32_qkv_.reserve(3);
-    fp32_qkv_.push_back(attn.wq());
-    fp32_qkv_.push_back(attn.wk());
-    fp32_qkv_.push_back(attn.wv());
-  } else {
-    // ONE column-scale vector balanced against all three projection weights:
-    // sharing the scales (and therefore the quantized input codes) lets the
-    // forward quantize x once and run three GEMMs over the same codes —
-    // measured, the per-row quantize pass is the dominant non-GEMM cost of
-    // the int8 encoder, so collapsing 3 passes to 1 here is a straight
-    // serving win over marginally finer per-projection balance.
-    const std::vector<float> shared_scales = BalancedColumnScales(
-        act_absmax, {&attn.wq().weight(), &attn.wk().weight(), &attn.wv().weight()});
-    qkv_.reserve(3);
-    qkv_.emplace_back(attn.wq(), shared_scales);
-    qkv_.emplace_back(attn.wk(), shared_scales);
-    qkv_.emplace_back(attn.wv(), shared_scales);
-  }
-}
-
-Matrix* QuantizedMultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len,
-                                                          Workspace* ws) const {
-  // Same span discipline as the fp32 path.
-  obs::ScopedSpan span(obs::Stage::kAttention);
-  CDMPP_CHECK(seq_len > 0 && x.rows() % seq_len == 0 && x.cols() == d_model_);
-
-  // The three input projections share ONE quantization of x (the constructor
-  // gave them identical folded column scales) with row-deterministic per-row
-  // scales — both bitwise invariance contracts hold, and the quantize pass
-  // runs once instead of three times. Without a channel profile the fp32
-  // copies run instead (see the constructor).
-  Matrix* q_all;
-  Matrix* k_all;
-  Matrix* v_all;
-  if (!qkv_.empty()) {
-    const int m = x.rows();
-    const int ldq = 2 * qkv_[0].k2();
-    int16_t* qx = ws->NewI16(static_cast<size_t>(m) * ldq);
-    Matrix* row_scales = ws->NewMatrix(m, 1);
-    {
-      obs::ScopedSpan qspan(obs::Stage::kQuantize);
-      QuantizeActivationsPerRowScaled(m, d_model_, x.data(), x.cols(),
-                                      qkv_[0].inv_col_scales().data(), qx, ldq,
-                                      row_scales->data());
-    }
-    q_all = qkv_[0].ForwardPreQuantized(m, qx, ldq, row_scales->data(), ws);
-    k_all = qkv_[1].ForwardPreQuantized(m, qx, ldq, row_scales->data(), ws);
-    v_all = qkv_[2].ForwardPreQuantized(m, qx, ldq, row_scales->data(), ws);
-  } else {
-    q_all = fp32_qkv_[0].ForwardInference(x, ws);
-    k_all = fp32_qkv_[1].ForwardInference(x, ws);
-    v_all = fp32_qkv_[2].ForwardInference(x, ws);
-  }
-
-  // The fp32 path's score/context loop on the dequantized fp32 projections.
-  Matrix* context = ws->NewMatrix(x.rows(), d_model_);
-  AttentionContextRows(*q_all, *k_all, *v_all, 0, x.rows(), seq_len, num_heads_,
-                       /*attn=*/nullptr, ws, context);
-  return wo_.ForwardInference(*context, ws);
+Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
+                                                 Precision precision) const {
+  return ForwardRowsInto(x, 0, x.rows(), seq_len, precision, ArenaDest(x.rows(), ws), ws);
 }
 
 void MultiHeadSelfAttention::CollectParams(std::vector<Param*>* out) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/quantize.h"
 #include "src/obs/trace.h"
 
 namespace cdmpp {
@@ -89,10 +90,71 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng) {
 }
 
 void Linear::ForwardRowsInto(const Matrix& x, int r0, int r1, kernels::Activation act,
-                             Matrix* y) const {
+                             Precision precision, Matrix* y, Workspace* scratch) const {
   CDMPP_CHECK(x.cols() == in_dim() && y->cols() == out_dim());
+  if (precision == Precision::kInt8 && int8_ != nullptr) {
+    ForwardQuantizedRowsInto(QuantizeRows(x, r0, r1, scratch), r0, r1, act, y);
+    return;
+  }
   kernels::GemmBiasAct(r1 - r0, out_dim(), in_dim(), x.Row(r0), x.cols(), w_.value.data(),
                        w_.value.cols(), b_.value.data(), act, y->Row(r0), y->cols());
+}
+
+void Linear::PackInt8(const std::vector<float>& col_scales) {
+  auto pack = std::make_unique<Int8Pack>();
+  const int k = in_dim();
+  const int n = out_dim();
+  if (col_scales.empty()) {
+    QuantizePackWeights(k, n, w_.value.data(), n, &pack->weights);
+  } else {
+    CDMPP_CHECK(static_cast<int>(col_scales.size()) == k);
+    // Fold c_p into the weight rows, then quantize per output channel as
+    // usual: the column scales live entirely inside the packed weights and
+    // the scaled activation quantizer; kernels and epilogue are untouched.
+    std::vector<float> folded(static_cast<size_t>(k) * n);
+    pack->inv_col_scales.resize(static_cast<size_t>(k));
+    for (int p = 0; p < k; ++p) {
+      const float c = col_scales[static_cast<size_t>(p)];
+      CDMPP_CHECK_MSG(c > 0.0f && std::isfinite(c), "column scales must be positive and finite");
+      pack->inv_col_scales[static_cast<size_t>(p)] = 1.0f / c;
+      for (int j = 0; j < n; ++j) {
+        folded[static_cast<size_t>(p) * n + j] = w_.value.At(p, j) * c;
+      }
+    }
+    QuantizePackWeights(k, n, folded.data(), n, &pack->weights);
+  }
+  int8_ = std::move(pack);
+}
+
+bool Linear::SharesInt8Input(const Linear& other) const {
+  return int8_ != nullptr && other.int8_ != nullptr && in_dim() == other.in_dim() &&
+         int8_->inv_col_scales == other.int8_->inv_col_scales;
+}
+
+Linear::QuantizedRows Linear::QuantizeRows(const Matrix& x, int r0, int r1,
+                                           Workspace* scratch) const {
+  CDMPP_CHECK(int8_ != nullptr && x.cols() == in_dim());
+  const int m = r1 - r0;
+  const int ldq = 2 * int8_->weights.k2;
+  int16_t* codes = scratch->NewI16(static_cast<size_t>(m) * ldq);
+  float* scales = scratch->NewMatrix(m, 1)->data();
+  // The dequant half is fused into the GEMM epilogue and accounted to the
+  // enclosing stage; activation quantization is the separable part.
+  obs::ScopedSpan span(obs::Stage::kQuantize);
+  if (int8_->inv_col_scales.empty()) {
+    QuantizeActivationsPerRow(m, in_dim(), x.Row(r0), x.cols(), codes, ldq, scales);
+  } else {
+    QuantizeActivationsPerRowScaled(m, in_dim(), x.Row(r0), x.cols(),
+                                    int8_->inv_col_scales.data(), codes, ldq, scales);
+  }
+  return {codes, ldq, scales};
+}
+
+void Linear::ForwardQuantizedRowsInto(const QuantizedRows& xq, int r0, int r1,
+                                      kernels::Activation act, Matrix* y) const {
+  CDMPP_CHECK(int8_ != nullptr && xq.ldq >= 2 * int8_->weights.k2 && y->cols() == out_dim());
+  kernels::GemmS8S8BiasAct(r1 - r0, xq.codes, xq.ldq, int8_->weights, xq.scales,
+                           b_.value.data(), act, y->Row(r0), y->cols());
 }
 
 void Linear::BeginStep(int rows) {
@@ -101,7 +163,8 @@ void Linear::BeginStep(int rows) {
 }
 
 Matrix& Linear::ForwardRows(const Matrix& x, int r0, int r1) {
-  ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, &y_);
+  ForwardRowsInto(x, r0, r1, kernels::Activation::kNone, Precision::kFp32, &y_,
+                  /*scratch=*/nullptr);
   return y_;
 }
 
@@ -134,10 +197,10 @@ Matrix Linear::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws,
-                                 kernels::Activation act) const {
+Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws, kernels::Activation act,
+                                 Precision precision) const {
   Matrix* y = ws->NewMatrix(x.rows(), out_dim());
-  ForwardRowsInto(x, 0, x.rows(), act, y);
+  ForwardRowsInto(x, 0, x.rows(), act, precision, y, ws);
   return y;
 }
 
@@ -271,14 +334,16 @@ Mlp::Mlp(const std::vector<int>& dims, Rng* rng) {
 }
 
 template <typename Dest>
-Matrix* Mlp::ForwardRowsInto(const Matrix& x, int r0, int r1, Dest&& dest) const {
+Matrix* Mlp::ForwardRowsInto(const Matrix& x, int r0, int r1, Precision precision, Dest&& dest,
+                             Workspace* scratch) const {
   const Matrix* h = &x;
   Matrix* y = nullptr;
   for (size_t i = 0; i < linears_.size(); ++i) {
     const bool hidden = i + 1 < linears_.size();
     y = dest(i);
-    linears_[i]->ForwardRowsInto(
-        *h, r0, r1, hidden ? kernels::Activation::kRelu : kernels::Activation::kNone, y);
+    linears_[i]->ForwardRowsInto(*h, r0, r1,
+                                 hidden ? kernels::Activation::kRelu : kernels::Activation::kNone,
+                                 precision, y, scratch);
     h = y;
   }
   return y;
@@ -291,7 +356,8 @@ void Mlp::BeginStep(int rows) {
 }
 
 const Matrix& Mlp::ForwardRows(const Matrix& x, int r0, int r1) {
-  return *ForwardRowsInto(x, r0, r1, [&](size_t i) { return &linears_[i]->output(); });
+  return *ForwardRowsInto(x, r0, r1, Precision::kFp32,
+                          [&](size_t i) { return &linears_[i]->output(); }, /*scratch=*/nullptr);
 }
 
 void Mlp::BackpropRows(int r0, int r1) {
@@ -335,10 +401,10 @@ Matrix Mlp::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws) const {
-  return ForwardRowsInto(x, 0, x.rows(), [&](size_t i) {
-    return ws->NewMatrix(x.rows(), linears_[i]->out_dim());
-  });
+Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws, Precision precision) const {
+  return ForwardRowsInto(
+      x, 0, x.rows(), precision,
+      [&](size_t i) { return ws->NewMatrix(x.rows(), linears_[i]->out_dim()); }, ws);
 }
 
 void Mlp::CollectParams(std::vector<Param*>* out) {

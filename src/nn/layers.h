@@ -19,6 +19,15 @@
 // with its own Workspace, while no thread mutates parameters (the serving
 // hot path, src/serve/).
 //
+// Precision is a property of a call, not of a layer. Every body takes the
+// call's Precision and passes it down; only Linear acts on it. A Linear may
+// hold an int8 pack of its weights (Linear::PackInt8; the scheme is in
+// src/nn/quantize.h), and a kInt8 call through a packed Linear runs the int8
+// GEMM, with its input rows quantized per row into the caller's scratch
+// arena. Every other call runs fp32, so fp32 and int8 forwards share one
+// model in one process, and training always passes kFp32. Which Linears are
+// packed is the caller's policy (CdmppPredictor::PrepareQuantizedInference).
+//
 // Training convention. CdmppPredictor::RunTraining runs each step in a few
 // parallel regions over contiguous row shards (README "Training step")
 // instead of forking per op, so every trainable layer exposes its training
@@ -55,6 +64,7 @@
 #include "src/nn/kernels.h"
 #include "src/nn/matrix.h"
 #include "src/nn/workspace.h"
+#include "src/support/cpu_features.h"
 
 namespace cdmpp {
 
@@ -140,9 +150,42 @@ class Linear : public Module {
   // The forward body: rows [r0, r1) of y = act(x W + b) in one fused kernel
   // call (the epilogue runs while the accumulator tile is in registers),
   // written to the same rows of `y`. The kernels are batch-size-invariant
-  // per row, so a shard's rows match the whole batch's.
+  // per row, so a shard's rows match the whole batch's. A kInt8 call on a
+  // packed Linear quantizes the rows into `scratch` and runs the int8 GEMM;
+  // any other call runs fp32 and may pass a null `scratch`.
   void ForwardRowsInto(const Matrix& x, int r0, int r1, kernels::Activation act,
-                       Matrix* y) const;
+                       Precision precision, Matrix* y, Workspace* scratch) const;
+
+  // The int8 pack: W quantized per output channel after folding in the
+  // per-input-channel activation scales c_p, if any (quantize.h's
+  // QuantizeActivationsPerRowScaled). The bias stays the live fp32 one.
+  struct Int8Pack {
+    kernels::PackedQ8Weights weights;
+    std::vector<float> inv_col_scales;  // 1 / c_p; empty: plain per-row scales
+  };
+  // Packs the current weights; `col_scales` empty for plain per-row
+  // activation scales. A pack is a snapshot of W: DropInt8 it when W
+  // changes.
+  void PackInt8(const std::vector<float>& col_scales);
+  void DropInt8() { int8_.reset(); }
+  const Int8Pack* int8_pack() const { return int8_.get(); }
+
+  // Input rows [r0, r1) in the int8 GEMM's operand form: the codes of row
+  // r0 at `codes`, rows `ldq` apart, and one dequantization scale per row.
+  struct QuantizedRows {
+    const int16_t* codes;
+    int ldq;
+    const float* scales;
+  };
+  // Quantizes rows [r0, r1) of x for this packed Linear, into `scratch`.
+  // A Linear whose pack has the same input columns and scales (SharesInt8Input)
+  // accepts the same codes: attention quantizes its input once for Q, K, V.
+  QuantizedRows QuantizeRows(const Matrix& x, int r0, int r1, Workspace* scratch) const;
+  bool SharesInt8Input(const Linear& other) const;
+  // Rows [r0, r1) of y from codes QuantizeRows produced: the int8 GEMM with
+  // the dequantize, bias and activation fused into its epilogue.
+  void ForwardQuantizedRowsInto(const QuantizedRows& xq, int r0, int r1,
+                                kernels::Activation act, Matrix* y) const;
 
   // Training row primitives (see the top of this file). ForwardRows returns
   // the full-batch output, which the Linear's own backward never reads:
@@ -161,20 +204,20 @@ class Linear : public Module {
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
   Matrix* ForwardInference(const Matrix& x, Workspace* ws,
-                           kernels::Activation act = kernels::Activation::kNone) const;
+                           kernels::Activation act = kernels::Activation::kNone,
+                           Precision precision = Precision::kFp32) const;
   void CollectParams(std::vector<Param*>* out) override;
 
   int in_dim() const { return w_.value.rows(); }
   int out_dim() const { return w_.value.cols(); }
 
-  // Read-only parameter views: the int8 calibration path (src/nn/quantize.h)
-  // snapshots these into packed quantized form.
   const Matrix& weight() const { return w_.value; }
   const Matrix& bias() const { return b_.value; }
 
  private:
   Param w_;
   Param b_;
+  std::unique_ptr<const Int8Pack> int8_;
   Matrix y_;
   Matrix dy_;
   Matrix input_;  // the Forward/Backward wrappers' copy of x
@@ -213,9 +256,9 @@ class LayerNorm : public Module {
   void CollectParams(std::vector<Param*>* out) override;
 
   int dim() const { return gamma_.value.cols(); }
-  // Read-only parameter views: the int8 calibration path derives data-free
-  // per-channel activation magnitude estimates for post-LayerNorm inputs from
-  // gamma/beta (src/nn/quantize.h).
+  // Parameter views: int8 packing derives data-free per-channel activation
+  // magnitude estimates for post-LayerNorm inputs from gamma/beta
+  // (src/nn/quantize.h).
   const Matrix& gamma() const { return gamma_.value; }
   const Matrix& beta() const { return beta_.value; }
 
@@ -249,19 +292,20 @@ class Mlp : public Module {
 
   Matrix Forward(const Matrix& x);
   Matrix Backward(const Matrix& dy);
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
+  Matrix* ForwardInference(const Matrix& x, Workspace* ws,
+                           Precision precision = Precision::kFp32) const;
   void CollectParams(std::vector<Param*>* out) override;
 
-  // Read-only layer views for the int8 calibration path.
   size_t num_linear_layers() const { return linears_.size(); }
-  const Linear& linear_layer(size_t i) const { return *linears_[i]; }
+  Linear& linear_layer(size_t i) { return *linears_[i]; }
 
  private:
   // The forward body: Linear i writes rows [r0, r1) of dest(i), hidden
   // layers with their ReLU fused into the GEMM epilogue. Returns the last
   // layer's destination.
   template <typename Dest>
-  Matrix* ForwardRowsInto(const Matrix& x, int r0, int r1, Dest&& dest) const;
+  Matrix* ForwardRowsInto(const Matrix& x, int r0, int r1, Precision precision, Dest&& dest,
+                          Workspace* scratch) const;
 
   std::vector<std::unique_ptr<Linear>> linears_;
   Matrix input_;  // the Forward/Backward wrappers' copy of x

@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "src/nn/kernels_internal.h"
-#include "src/obs/trace.h"
 #include "src/support/check.h"
 #include "src/support/cpu_features.h"
 
@@ -176,98 +175,6 @@ std::vector<float> BalancedColumnScales(const std::vector<float>& act_absmax,
     scales[static_cast<size_t>(p)] = std::sqrt(a / ww);
   }
   return scales;
-}
-
-QuantizedLinear::QuantizedLinear(const Linear& linear) {
-  const Matrix& w = linear.weight();
-  QuantizePackWeights(w.rows(), w.cols(), w.data(), w.cols(), &weights_);
-  const Matrix& b = linear.bias();
-  bias_.assign(b.data(), b.data() + b.size());
-}
-
-QuantizedLinear::QuantizedLinear(const Linear& linear, const std::vector<float>& col_scales) {
-  const Matrix& w = linear.weight();
-  const Matrix& b = linear.bias();
-  bias_.assign(b.data(), b.data() + b.size());
-  if (col_scales.empty()) {
-    QuantizePackWeights(w.rows(), w.cols(), w.data(), w.cols(), &weights_);
-    return;
-  }
-  const int k = w.rows();
-  const int n = w.cols();
-  CDMPP_CHECK(static_cast<int>(col_scales.size()) == k);
-  // Fold c_p into the weight rows, then quantize per output channel as usual:
-  // the column scales live entirely inside the packed weights and the scaled
-  // activation quantizer — kernels and epilogue are untouched.
-  std::vector<float> folded(static_cast<size_t>(k) * n);
-  inv_col_scales_.resize(static_cast<size_t>(k));
-  for (int p = 0; p < k; ++p) {
-    const float c = col_scales[static_cast<size_t>(p)];
-    CDMPP_CHECK_MSG(c > 0.0f && std::isfinite(c), "column scales must be positive and finite");
-    inv_col_scales_[static_cast<size_t>(p)] = 1.0f / c;
-    for (int j = 0; j < n; ++j) {
-      folded[static_cast<size_t>(p) * n + j] = w.At(p, j) * c;
-    }
-  }
-  QuantizePackWeights(k, n, folded.data(), n, &weights_);
-}
-
-Matrix* QuantizedLinear::ForwardInference(const Matrix& x, Workspace* ws,
-                                          kernels::Activation act) const {
-  CDMPP_CHECK(x.cols() == weights_.k);
-  const int m = x.rows();
-  const int ldq = 2 * weights_.k2;
-  int16_t* q = ws->NewI16(static_cast<size_t>(m) * ldq);
-  Matrix* row_scales = ws->NewMatrix(m, 1);
-  {
-    // The dequant half is fused into the GEMM epilogue below and accounted
-    // to the enclosing stage; activation quantization is the separable part.
-    obs::ScopedSpan span(obs::Stage::kQuantize);
-    if (inv_col_scales_.empty()) {
-      QuantizeActivationsPerRow(m, weights_.k, x.data(), x.cols(), q, ldq, row_scales->data());
-    } else {
-      QuantizeActivationsPerRowScaled(m, weights_.k, x.data(), x.cols(), inv_col_scales_.data(),
-                                      q, ldq, row_scales->data());
-    }
-  }
-  return ForwardPreQuantized(m, q, ldq, row_scales->data(), ws, act);
-}
-
-Matrix* QuantizedLinear::ForwardPreQuantized(int m, const int16_t* q, int ldq,
-                                             const float* row_scales, Workspace* ws,
-                                             kernels::Activation act) const {
-  CDMPP_CHECK(ldq >= 2 * weights_.k2);
-  Matrix* y = ws->NewMatrix(m, weights_.n);
-  kernels::GemmS8S8BiasAct(m, q, ldq, weights_, row_scales, bias_.data(), act, y->data(),
-                           y->cols());
-  return y;
-}
-
-QuantizedMlp::QuantizedMlp(const Mlp& mlp, size_t num_fp32_tail_layers) {
-  const size_t total = mlp.num_linear_layers();
-  const size_t tail = std::min(num_fp32_tail_layers, total);
-  layers_.reserve(total - tail);
-  for (size_t i = 0; i < total - tail; ++i) {
-    layers_.emplace_back(mlp.linear_layer(i));
-  }
-  fp32_tail_.reserve(tail);
-  for (size_t i = total - tail; i < total; ++i) {
-    fp32_tail_.push_back(mlp.linear_layer(i));  // calibration-time fp32 copy
-  }
-}
-
-Matrix* QuantizedMlp::ForwardInference(const Matrix& x, Workspace* ws) const {
-  const size_t total = num_layers();
-  const Matrix* h = &x;
-  Matrix* out = nullptr;
-  for (size_t i = 0; i < total; ++i) {
-    const kernels::Activation act =
-        i + 1 < total ? kernels::Activation::kRelu : kernels::Activation::kNone;
-    out = i < layers_.size() ? layers_[i].ForwardInference(*h, ws, act)
-                             : fp32_tail_[i - layers_.size()].ForwardInference(*h, ws, act);
-    h = out;
-  }
-  return out;
 }
 
 }  // namespace cdmpp

@@ -26,11 +26,12 @@
 // pinned by tests/quantize_test.cc); end-to-end the int8 predictor agrees
 // with fp32 to <= 1% relative on the serving fixtures (tests/serve_test.cc).
 //
-// QuantizedLinear/QuantizedMlp are calibrated read-only copies of their fp32
-// layers: construction is mutating-world only, ForwardInference is const and
-// touches no mutable state, so any number of threads may run it concurrently
-// on a shared instance (the PredictionService int8 mode relies on this).
-// Re-quantize after the fp32 parameters change (training, ImportParams).
+// This file holds the scheme's free functions. The layer side is Linear's
+// int8 pack (src/nn/layers.h): Linear::PackInt8 quantizes a Linear's weights
+// with these functions, and a kInt8 forward through a packed Linear runs
+// them on its input rows. Which Linears get packs, and with which column
+// scales, is CdmppPredictor::PrepareQuantizedInference's policy (README
+// "Int8 quantized serving").
 #ifndef SRC_NN_QUANTIZE_H_
 #define SRC_NN_QUANTIZE_H_
 
@@ -40,7 +41,6 @@
 #include "src/nn/kernels.h"
 #include "src/nn/layers.h"
 #include "src/nn/matrix.h"
-#include "src/nn/workspace.h"
 
 namespace cdmpp {
 
@@ -104,8 +104,8 @@ void QuantizeActivationsPerRow(int rows, int k, const float* x, int ldx, int16_t
 // Per-channel (column) activation-scale variant: quantizes x'[i, p] =
 // x[i, p] * inv_col_scales[p] under the usual dynamic per-row scale. Paired
 // with weights that had the matching col_scales folded into their rows at
-// calibration time (w'[p, j] = w[p, j] * c_p — the QuantizedLinear col-scale
-// constructor), the integer GEMM and the per-(row, column) dequant epilogue
+// calibration time (w'[p, j] = w[p, j] * c_p — Linear::PackInt8 with column
+// scales), the integer GEMM and the per-(row, column) dequant epilogue
 // are unchanged in form:
 //   a_i * s_j * sum_p q(x_ip / c_p) q(w_pj c_p)  ~=  sum_p x_ip w_pj,
 // so every bitwise contract of the plain path carries over verbatim: per-row
@@ -142,83 +142,11 @@ std::vector<float> BalancedColumnScales(const std::vector<float>& act_absmax,
 // row-wise absmax over SEVERAL weight matrices sharing the same input (the
 // attention Q/K/V projections). Producing ONE scale vector for all consumers
 // is what lets the caller quantize their shared input once and feed the same
-// codes to every GEMM (QuantizedLinear::ForwardPreQuantized) — per-projection
+// codes to every GEMM (Linear::ForwardQuantizedRowsInto) — per-projection
 // scales would force one quantization pass per projection for a marginal
 // balance refinement. All matrices must have act_absmax.size() rows.
 std::vector<float> BalancedColumnScales(const std::vector<float>& act_absmax,
                                         const std::vector<const Matrix*>& weights);
-
-// y = x W + b with W pre-quantized per output channel and x quantized per row
-// on the fly. A calibrated, immutable snapshot of a fp32 Linear.
-class QuantizedLinear {
- public:
-  explicit QuantizedLinear(const Linear& linear);
-
-  // Per-channel activation-scale (column-scale epilogue) variant: folds the
-  // positive per-input-channel scales c_p into the weight rows before
-  // per-output-channel quantization and divides them out of the activations
-  // at run time (QuantizeActivationsPerRowScaled). col_scales.size() must be
-  // in_dim(); typically BalancedColumnScales over a LayerNormActAbsMax
-  // estimate. An empty vector degrades to the plain constructor.
-  QuantizedLinear(const Linear& linear, const std::vector<float>& col_scales);
-
-  // Hot path: quantizes x into `ws` scratch and runs the fused
-  // int8-GEMM + dequantize + bias + activation kernel. Output and scratch
-  // live in `ws` (one per thread), valid until its Reset().
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws,
-                           kernels::Activation act = kernels::Activation::kNone) const;
-
-  // Multi-consumer hot path: runs the fused GEMM over activations the CALLER
-  // already quantized — `q` [m rows, ldq >= 2*k2() apart, pad zeroed] with
-  // per-row dequant scales `row_scales` [m]. The codes must have been
-  // produced with column scales matching inv_col_scales() (shared scales
-  // across consumers — the attention Q/K/V path quantizes x once and feeds
-  // the same codes to all three projections). ForwardInference is exactly
-  // quantize + this.
-  Matrix* ForwardPreQuantized(int m, const int16_t* q, int ldq, const float* row_scales,
-                              Workspace* ws,
-                              kernels::Activation act = kernels::Activation::kNone) const;
-
-  int in_dim() const { return weights_.k; }
-  int out_dim() const { return weights_.n; }
-  int k2() const { return weights_.k2; }
-  const kernels::PackedQ8Weights& weights() const { return weights_; }
-  bool has_col_scales() const { return !inv_col_scales_.empty(); }
-  // 1/c_p per input channel; empty on the plain path. A caller pre-quantizing
-  // for ForwardPreQuantized must use exactly these.
-  const std::vector<float>& inv_col_scales() const { return inv_col_scales_; }
-
- private:
-  kernels::PackedQ8Weights weights_;
-  std::vector<float> bias_;
-  // 1 / c_p per input channel; empty means unit scales (the plain path).
-  std::vector<float> inv_col_scales_;
-};
-
-// The int8 mirror of Mlp: every Linear quantized, hidden ReLUs fused into the
-// kernel epilogue. Intermediate activations are dequantized to fp32 between
-// layers and re-quantized per row at the next layer (dynamic quantization).
-//
-// `num_fp32_tail_layers` keeps that many trailing Linears in fp32 (copied at
-// calibration time). The predictor's decoder uses 1: its final projection is
-// a [*, 1] GEMM whose absolute quantization noise lands directly on the
-// transformed label — where the exponential-tailed inverse Box-Cox amplifies
-// it — while contributing ~nothing to serving throughput. Keeping the scalar
-// head fp32 is what holds the end-to-end <= 1% agreement contract.
-class QuantizedMlp {
- public:
-  explicit QuantizedMlp(const Mlp& mlp, size_t num_fp32_tail_layers = 0);
-
-  Matrix* ForwardInference(const Matrix& x, Workspace* ws) const;
-
-  size_t num_layers() const { return layers_.size() + fp32_tail_.size(); }
-  size_t num_quantized_layers() const { return layers_.size(); }
-  const QuantizedLinear& layer(size_t i) const { return layers_[i]; }
-
- private:
-  std::vector<QuantizedLinear> layers_;
-  std::vector<Linear> fp32_tail_;
-};
 
 }  // namespace cdmpp
 

@@ -23,41 +23,20 @@ void AddRows(const Matrix& src, int r0, int r1, Matrix* dst) {
   }
 }
 
-// Runs layers 0..n-1 (layer(i, h) returns layer i's output for input h) in
-// `ws`. A layer's intermediates are dead once its output exists, so every
-// output but the last is copied into one of two carry buffers taken before
-// a mark, and the arena is rewound to that mark: the arena holds one layer's
-// tensors instead of all of them, with the same values.
-template <typename Layer>
-Matrix* ForwardLayerStack(size_t n, const Matrix& x, Workspace* ws, Layer&& layer) {
-  Matrix* carry[2] = {nullptr, nullptr};
-  const Matrix* h = &x;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    Matrix*& buf = carry[i % 2];
-    if (buf == nullptr) {
-      buf = ws->NewMatrix(x.rows(), x.cols());
-    }
-    const Workspace::Mark mark = ws->GetMark();
-    const Matrix* y = layer(i, *h);
-    std::copy(y->data(), y->data() + y->size(), buf->data());
-    ws->Rewind(mark);
-    h = buf;
-  }
-  return layer(n - 1, *h);
-}
-
 }  // namespace
 
 Matrix* TransformerEncoderLayer::ForwardRowsInto(const Matrix& x, int r0, int r1, int seq_len,
-                                                 const Dest& dest, Workspace* scratch) const {
-  Matrix* attn_out = attn_.ForwardRowsInto(x, r0, r1, seq_len, dest.attn, scratch);
+                                                 Precision precision, const Dest& dest,
+                                                 Workspace* scratch) const {
+  Matrix* attn_out = attn_.ForwardRowsInto(x, r0, r1, seq_len, precision, dest.attn, scratch);
   AddRows(x, r0, r1, attn_out);  // residual
   norm1_.ForwardRowsInto(*attn_out, r0, r1, dest.norm1);
   const Matrix& h = *dest.norm1.y;
 
   // FFN hidden layer: bias + ReLU fused into the GEMM epilogue.
-  ff1_->ForwardRowsInto(h, r0, r1, kernels::Activation::kRelu, dest.ff1);
-  ff2_->ForwardRowsInto(*dest.ff1, r0, r1, kernels::Activation::kNone, dest.ff2);
+  ff1_->ForwardRowsInto(h, r0, r1, kernels::Activation::kRelu, precision, dest.ff1, scratch);
+  ff2_->ForwardRowsInto(*dest.ff1, r0, r1, kernels::Activation::kNone, precision, dest.ff2,
+                        scratch);
   AddRows(h, r0, r1, dest.ff2);  // residual
   norm2_.ForwardRowsInto(*dest.ff2, r0, r1, dest.norm2);
   return dest.norm2.y;
@@ -89,7 +68,7 @@ TransformerEncoderLayer::Dest TransformerEncoderLayer::CacheDest() {
 
 const Matrix& TransformerEncoderLayer::ForwardRows(const Matrix& x, int r0, int r1,
                                                    Workspace* scratch) {
-  return *ForwardRowsInto(x, r0, r1, seq_len_, CacheDest(), scratch);
+  return *ForwardRowsInto(x, r0, r1, seq_len_, Precision::kFp32, CacheDest(), scratch);
 }
 
 void TransformerEncoderLayer::InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx) {
@@ -140,9 +119,9 @@ Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
-                                                  Workspace* ws) const {
-  return ForwardRowsInto(x, 0, x.rows(), seq_len, ArenaDest(x.rows(), ws), ws);
+Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
+                                                  Precision precision) const {
+  return ForwardRowsInto(x, 0, x.rows(), seq_len, precision, ArenaDest(x.rows(), ws), ws);
 }
 
 void TransformerEncoderLayer::CollectParams(std::vector<Param*>* out) {
@@ -212,63 +191,32 @@ Matrix TransformerEncoder::Backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
-                                             Workspace* ws) const {
-  return ForwardLayerStack(layers_.size(), x, ws, [&](size_t i, const Matrix& h) {
-    return layers_[i]->ForwardInference(h, seq_len, ws);
-  });
+Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
+                                             Precision precision) const {
+  // A layer's intermediates are dead once its output exists, so every output
+  // but the last is copied into one of two carry buffers taken before a
+  // mark, and the arena is rewound to that mark: the arena holds one layer's
+  // tensors instead of all of them, with the same values.
+  Matrix* carry[2] = {nullptr, nullptr};
+  const Matrix* h = &x;
+  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
+    Matrix*& buf = carry[i % 2];
+    if (buf == nullptr) {
+      buf = ws->NewMatrix(x.rows(), x.cols());
+    }
+    const Workspace::Mark mark = ws->GetMark();
+    const Matrix* y = layers_[i]->ForwardInference(*h, seq_len, ws, precision);
+    std::copy(y->data(), y->data() + y->size(), buf->data());
+    ws->Rewind(mark);
+    h = buf;
+  }
+  return layers_.back()->ForwardInference(*h, seq_len, ws, precision);
 }
 
 void TransformerEncoder::CollectParams(std::vector<Param*>* out) {
   for (auto& layer : layers_) {
     layer->CollectParams(out);
   }
-}
-
-QuantizedTransformerEncoderLayer::QuantizedTransformerEncoderLayer(
-    const TransformerEncoderLayer& layer, const LayerNorm* input_norm)
-    : attn_(layer.attn(),
-            input_norm != nullptr ? LayerNormActAbsMax(*input_norm) : std::vector<float>{}),
-      norm1_(layer.norm1()),
-      ff1_(layer.ff1(), BalancedColumnScales(LayerNormActAbsMax(layer.norm1()),
-                                             layer.ff1().weight())),
-      ff2_(layer.ff2()),
-      norm2_(layer.norm2()) {}
-
-Matrix* QuantizedTransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len,
-                                                           Workspace* ws) const {
-  // Mirrors the fp32 layer exactly, with the weight GEMMs swapped for their
-  // quantized snapshots. Residual adds and LayerNorms are fp32, and every
-  // op is local to a row or a sample, so the whole layer stays bitwise
-  // batch-split- and thread-count-invariant.
-  Matrix* attn_out = attn_.ForwardInference(x, seq_len, ws);
-  attn_out->AddInPlace(x);  // residual
-  Matrix* h = norm1_.ForwardInference(*attn_out, ws);
-
-  // FFN hidden layer: bias + ReLU fused into the int8 dequant epilogue.
-  Matrix* ff1 = ff1_.ForwardInference(*h, ws, kernels::Activation::kRelu);
-  Matrix* ff = ff2_.ForwardInference(*ff1, ws);
-  ff->AddInPlace(*h);  // residual
-  return norm2_.ForwardInference(*ff, ws);
-}
-
-QuantizedTransformerEncoder::QuantizedTransformerEncoder(const TransformerEncoder& encoder)
-    : d_model_(encoder.d_model()) {
-  layers_.reserve(encoder.num_layers());
-  for (size_t i = 0; i < encoder.num_layers(); ++i) {
-    // Post-LN stacking: layer i's attention input is layer i-1's norm2
-    // output; layer 0's input is the (fp32) input projection, which has no
-    // static channel profile to fold.
-    const LayerNorm* input_norm = i > 0 ? &encoder.layer(i - 1).norm2() : nullptr;
-    layers_.emplace_back(encoder.layer(i), input_norm);
-  }
-}
-
-Matrix* QuantizedTransformerEncoder::ForwardInference(const Matrix& x, int seq_len,
-                                                      Workspace* ws) const {
-  return ForwardLayerStack(layers_.size(), x, ws, [&](size_t i, const Matrix& h) {
-    return layers_[i].ForwardInference(h, seq_len, ws);
-  });
 }
 
 }  // namespace cdmpp

@@ -40,22 +40,15 @@ DirectCostModel::DirectCostModel(CdmppPredictor* predictor, Precision precision)
 
 void DirectCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
                                      std::vector<double>* scores) {
-  const bool int8_mode = precision_ != Precision::kFp32;
   for (size_t i = 0; i < queries.size(); ++i) {
     const CostQuery& q = queries[i];
     CDMPP_CHECK(q.ast != nullptr && q.ast->num_leaves > 0);
-    if (int8_mode) {
-      if (!predictor_->HasQuantizedHead(q.ast->num_leaves)) {
-        predictor_->EnsureQuantizedHead(q.ast->num_leaves);
-      }
-    } else if (!predictor_->HasHead(q.ast->num_leaves)) {
-      predictor_->EnsureHead(q.ast->num_leaves);
-    }
+    predictor_->EnsureHead(q.ast->num_leaves);
     AstBatchView view;
     view.asts.push_back(q.ast);
     view.device_ids.push_back(q.device_id);
     double prediction = 0.0;
-    if (int8_mode) {
+    if (precision_ != Precision::kFp32) {
       predictor_->PredictBatchedQuantized(view, &ws_, &prediction, nullptr, precision_);
     } else {
       predictor_->PredictBatched(view, &ws_, &prediction);

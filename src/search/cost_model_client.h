@@ -102,7 +102,7 @@ class FnCostModel : public CostModelClient {
 // bench_tuning measures exactly the batching/caching delta. `precision`
 // selects the numeric tier (default: the CDMPP_PRECISION process default, so
 // direct and serve runs compare like for like). Not thread-safe: scoring
-// creates missing (quantized) heads on the predictor, so one client per
+// creates missing heads on the predictor, so one client per
 // predictor per thread, and don't score while a PredictionService serves the
 // same predictor.
 class DirectCostModel : public CostModelClient {

@@ -43,10 +43,8 @@ PredictionService::PredictionService(CdmppPredictor* predictor, const ServeOptio
   CDMPP_CHECK(options.max_batch_size > 0);
   CDMPP_CHECK(options.batch_window_ms >= 0.0);
   if (options.precision != Precision::kFp32) {
-    // Calibrate the int8 snapshots (heads, device MLP, decoder, encoder) from
-    // the current fp32 parameters before any worker exists (single-threaded
-    // here, so mutating is safe). Both int8 modes calibrate everything; the
-    // forward picks the encoder tier per mode.
+    // Pack the int8 weights from the current fp32 parameters before any
+    // worker exists (single-threaded here, so mutating is safe).
     predictor->PrepareQuantizedInference();
   }
   workers_.reserve(static_cast<size_t>(options.num_workers));
@@ -87,10 +85,9 @@ void PredictionService::Recalibrate() {
   if (options_.precision == Precision::kFp32) {
     return;
   }
-  // Exclusive lock: waits out in-flight forwards (shared holders), swaps the
-  // quantized snapshots, and releases. PrepareQuantizedInference rebuilds the
-  // quantized head map from every materialized fp32 head, so leaf counts the
-  // service has already served stay covered after the swap.
+  // Exclusive lock: waits out in-flight forwards (shared holders), repacks,
+  // and releases. PrepareQuantizedInference packs every materialized head,
+  // so leaf counts the service has already served stay covered.
   std::unique_lock<std::shared_mutex> lock(model_mu_);
   predictor_->PrepareQuantizedInference();
 }
@@ -325,7 +322,6 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
   std::vector<size_t> unique_order;  // first request position per distinct key
   std::vector<size_t> to_compute;
   AstBatchView view;
-  const bool int8_mode = options_.precision != Precision::kFp32;
 
   auto fulfill = [&](const CacheKey& key, double latency_seconds, bool computed) {
     for (size_t pos : groups.at(key)) {
@@ -371,16 +367,15 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
       view.asts.push_back(&requests[pos].ast());
       view.device_ids.push_back(requests[pos].device_id);
     }
-    // Rare slow path: create heads (and, in int8 mode, their quantized
-    // snapshots) for leaf counts training never saw, under the exclusive
-    // lock. Ensure* re-checks, so racing workers are safe (and duplicate
+    // Rare slow path: create heads (int8-packed on a prepared predictor)
+    // for leaf counts training never saw, under the exclusive lock.
+    // EnsureHead re-checks, so racing workers are safe (and duplicate
     // entries here are harmless).
     std::vector<int> missing_heads;
     {
       std::shared_lock<std::shared_mutex> lock(model_mu_);
       for (const CompactAst* ast : view.asts) {
-        if (!predictor_->HasHead(ast->num_leaves) ||
-            (int8_mode && !predictor_->HasQuantizedHead(ast->num_leaves))) {
+        if (!predictor_->HasHead(ast->num_leaves)) {
           missing_heads.push_back(ast->num_leaves);
         }
       }
@@ -388,11 +383,7 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
     if (!missing_heads.empty()) {
       std::unique_lock<std::shared_mutex> lock(model_mu_);
       for (int leaves : missing_heads) {
-        if (int8_mode) {
-          predictor_->EnsureQuantizedHead(leaves);
-        } else {
-          predictor_->EnsureHead(leaves);
-        }
+        predictor_->EnsureHead(leaves);
       }
     }
   }
@@ -405,7 +396,7 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
     // span's exclusive time is the forward glue (plan build, chunking).
     obs::ScopedSpan forward_span(obs::Stage::kForward);
     std::shared_lock<std::shared_mutex> lock(model_mu_);
-    if (int8_mode) {
+    if (options_.precision != Precision::kFp32) {
       predictor_->PredictBatchedQuantized(view, ws, predictions->data(), &passes,
                                           options_.precision);
     } else {

@@ -79,8 +79,8 @@ class PredictionService {
   // service. The service serializes its own head creation against its
   // forward passes; the caller must not train or mutate the predictor while
   // the service is running. With options.precision != kFp32 the constructor
-  // calibrates the predictor's int8 snapshots (PrepareQuantizedInference) —
-  // a mutation, so don't construct concurrently with other predictor use.
+  // packs the predictor's int8 weights (PrepareQuantizedInference) — a
+  // mutation, so don't construct concurrently with other predictor use.
   PredictionService(CdmppPredictor* predictor, const ServeOptions& options);
   ~PredictionService();
 
@@ -130,17 +130,17 @@ class PredictionService {
   // fail with std::logic_error.
   void Shutdown();
 
-  // Re-derives the predictor's int8 calibration snapshots (encoder, device
-  // MLP, decoder, and every quantized head seen so far) from its CURRENT fp32
-  // parameters, under the exclusive model lock: in-flight batched forwards
-  // finish on the old snapshots first (they hold the shared lock), requests
-  // served afterwards read the new ones, and no traffic is dropped. This is
-  // the only safe way to re-calibrate a live service — calling
+  // Re-derives the predictor's int8 weight packs (every packed Linear,
+  // including each head created so far) from its CURRENT fp32 parameters,
+  // under the exclusive model lock: in-flight batched forwards finish on the
+  // old packs first (they hold the shared lock), requests served afterwards
+  // read the new ones, and no traffic is dropped. This is the only safe way
+  // to re-calibrate a live service — calling
   // predictor->PrepareQuantizedInference() directly while workers run races
-  // the snapshot swap against the lock-free forwards reading it
+  // the repacking against the lock-free forwards reading the packs
   // (tests/tsan_stress_test.cc exercises this path under ThreadSanitizer).
-  // No-op in fp32 mode, where there are no snapshots to refresh. Because the
-  // snapshots are a deterministic function of the fp32 parameters,
+  // No-op in fp32 mode, where there are no packs to refresh. Because the
+  // packs are a deterministic function of the fp32 parameters,
   // recalibrating without an intervening parameter change is bitwise
   // invisible to clients. Thread-safe; callable from any non-worker thread.
   void Recalibrate();

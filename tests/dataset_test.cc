@@ -216,59 +216,22 @@ TEST(BatchingTest, MakeBatchesDeterministicForFixedSeed) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(BatchingTest, AstViewAdapterMatchesDatasetPath) {
-  // The serving adapter must bucket and featurize free-standing ASTs exactly
-  // as the dataset path does for the same programs.
+TEST(BatchingTest, FeatureMatrixShapes) {
   Dataset ds = BuildDataset(SmallOptions());
-  std::vector<int> some = {0, 1, 2, 3, 4, 5, 6, 7};
   AstBatchView view;
-  for (int idx : some) {
+  for (int idx : SamplesOnDevice(ds, 0)) {
     const Sample& s = ds.samples[static_cast<size_t>(idx)];
     view.asts.push_back(&ds.programs[static_cast<size_t>(s.program_index)].ast);
     view.device_ids.push_back(s.device_id);
   }
-  auto ds_buckets = GroupByLeafCount(ds, some);
-  auto view_buckets = GroupByLeafCount(view);
-  ASSERT_EQ(ds_buckets.size(), view_buckets.size());
-  for (const auto& [leaves, view_positions] : view_buckets) {
-    ASSERT_TRUE(ds_buckets.count(leaves));
-    ASSERT_EQ(ds_buckets[leaves].size(), view_positions.size());
-  }
-  // Feature rows agree batch for batch (no shuffle: rng == nullptr).
-  auto ds_batches = MakeBatches(ds_buckets, 4, nullptr);
-  auto view_batches = MakeBatches(view_buckets, 4, nullptr);
-  ASSERT_EQ(ds_batches.size(), view_batches.size());
-  for (size_t b = 0; b < ds_batches.size(); ++b) {
-    Matrix from_ds = BuildFeatureMatrix(ds, ds_batches[b], nullptr, true);
-    Matrix from_view = BuildFeatureMatrix(view, view_batches[b], nullptr, true);
-    ASSERT_EQ(from_ds.rows(), from_view.rows());
-    ASSERT_EQ(from_ds.cols(), from_view.cols());
-    for (int i = 0; i < from_ds.rows(); ++i) {
-      for (int j = 0; j < from_ds.cols(); ++j) {
-        EXPECT_EQ(from_ds.At(i, j), from_view.At(i, j));
-      }
-    }
-    Matrix dev_ds = BuildDeviceFeatureMatrix(ds, ds_batches[b]);
-    Matrix dev_view = BuildDeviceFeatureMatrix(view, view_batches[b]);
-    for (int i = 0; i < dev_ds.rows(); ++i) {
-      for (int j = 0; j < dev_ds.cols(); ++j) {
-        EXPECT_EQ(dev_ds.At(i, j), dev_view.At(i, j));
-      }
-    }
-  }
-}
-
-TEST(BatchingTest, FeatureMatrixShapes) {
-  Dataset ds = BuildDataset(SmallOptions());
-  std::vector<int> all = SamplesOnDevice(ds, 0);
   Rng rng(7);
-  auto batches = MakeBatches(GroupByLeafCount(ds, all), 16, &rng);
+  auto batches = MakeBatches(GroupByLeafCount(view), 16, &rng);
   ASSERT_FALSE(batches.empty());
   const Batch& b = batches.front();
-  Matrix x = BuildFeatureMatrix(ds, b, nullptr, true);
+  Matrix x = BuildFeatureMatrix(view, b, nullptr, true);
   EXPECT_EQ(x.rows(), static_cast<int>(b.sample_indices.size()) * b.seq_len);
   EXPECT_EQ(x.cols(), kFeatDim);
-  Matrix dev = BuildDeviceFeatureMatrix(ds, b);
+  Matrix dev = BuildDeviceFeatureMatrix(view, b);
   EXPECT_EQ(dev.rows(), static_cast<int>(b.sample_indices.size()));
   EXPECT_EQ(dev.cols(), kDeviceFeatDim);
 }

@@ -1,8 +1,8 @@
 // Quantization tests: round-trip error bounds of the per-row activation
 // (adaptive code range, ActivationQMax) and per-output-channel int8 weight
-// quantizers, packed-layout integrity, the
-// analytic error bound of a quantized Linear vs its fp32 source, batch-size
-// invariance of the quantized path (per-row scales), and the Workspace i16
+// quantizers, packed-layout integrity, the analytic error bound of an
+// int8-packed Linear's int8 forward vs its fp32 forward, batch-size
+// invariance of the int8 path (per-row scales), and the Workspace i16
 // arena's warm-path reuse.
 #include <cmath>
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include "src/nn/layers.h"
 #include "src/nn/quantize.h"
+#include "src/nn/transformer.h"
 #include "src/nn/workspace.h"
 #include "src/support/cpu_features.h"
 #include "src/support/rng.h"
@@ -28,6 +29,12 @@ Matrix RandomMatrix(int rows, int cols, Rng* rng, double scale = 1.0) {
     m.data()[i] = static_cast<float>(rng->Normal(0.0, scale));
   }
   return m;
+}
+
+// The int8 forward of a packed Linear.
+Matrix* Int8Forward(const Linear& linear, const Matrix& x, Workspace* ws,
+                    Activation act = Activation::kNone) {
+  return linear.ForwardInference(x, ws, act, Precision::kInt8);
 }
 
 TEST(QuantizeActivationsTest, RoundTripErrorIsBoundedByHalfScale) {
@@ -104,10 +111,10 @@ TEST(QuantizePackWeightsTest, PerChannelScalesAndPackedLayoutRoundTrip) {
 // |y_q - y| for one output element is bounded by the propagated per-element
 // quantization errors: sum_p |w| * ex + sum_p |x| * ew + k * ex * ew with
 // ex = a_scale/2 (a_scale = rowabsmax / ActivationQMax(k)), ew = w_scale_j/2.
-// The quantized Linear must sit inside the analytic bound on every element —
+// The int8 forward must sit inside the analytic bound on every element —
 // this is the round-trip error contract of the whole layer, not a tuned
 // tolerance.
-TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
+TEST(Int8LinearTest, OutputErrorStaysWithinAnalyticBound) {
   Rng rng(43);
   const int m = 11, k = 38, n = 17;
   Linear linear(k, n, &rng);
@@ -115,10 +122,16 @@ TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
 
   Workspace ws;
   const Matrix& y_fp32 = *linear.ForwardInference(x, &ws);
-  QuantizedLinear qlinear(linear);
-  Matrix* y_q = qlinear.ForwardInference(x, &ws);
+  linear.PackInt8({});
+  Matrix* y_q = Int8Forward(linear, x, &ws);
   ASSERT_EQ(y_q->rows(), m);
   ASSERT_EQ(y_q->cols(), n);
+  // Precision is the call's: an fp32 call on a packed Linear is the plain
+  // fp32 forward, bit for bit.
+  const Matrix& y_fp32_packed = *linear.ForwardInference(x, &ws);
+  for (size_t i = 0; i < y_fp32.size(); ++i) {
+    ASSERT_EQ(y_fp32.data()[i], y_fp32_packed.data()[i]) << "element " << i;
+  }
 
   // Recover the per-row activation scales the layer used.
   const float qmax = static_cast<float>(ActivationQMax(k));
@@ -130,7 +143,7 @@ TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
     }
     a_scales[static_cast<size_t>(i)] = absmax > 0.0f ? absmax / qmax : 1.0f;
   }
-  const PackedQ8Weights& packed = qlinear.weights();
+  const PackedQ8Weights& packed = linear.int8_pack()->weights;
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       const double ex = 0.5 * a_scales[static_cast<size_t>(i)];
@@ -147,14 +160,14 @@ TEST(QuantizedLinearTest, OutputErrorStaysWithinAnalyticBound) {
   }
 }
 
-TEST(QuantizedLinearTest, FusedReluMatchesSeparateRelu) {
+TEST(Int8LinearTest, FusedReluMatchesSeparateRelu) {
   Rng rng(44);
   Linear linear(24, 16, &rng);
   Matrix x = RandomMatrix(5, 24, &rng);
-  QuantizedLinear qlinear(linear);
+  linear.PackInt8({});
   Workspace ws1, ws2;
-  Matrix* fused = qlinear.ForwardInference(x, &ws1, Activation::kRelu);
-  Matrix* plain = qlinear.ForwardInference(x, &ws2, Activation::kNone);
+  Matrix* fused = Int8Forward(linear, x, &ws1, Activation::kRelu);
+  Matrix* plain = Int8Forward(linear, x, &ws2, Activation::kNone);
   for (int i = 0; i < fused->rows(); ++i) {
     for (int j = 0; j < fused->cols(); ++j) {
       EXPECT_EQ(fused->At(i, j), std::max(0.0f, plain->At(i, j)));
@@ -162,30 +175,30 @@ TEST(QuantizedLinearTest, FusedReluMatchesSeparateRelu) {
   }
 }
 
-// Per-ROW activation scales make the quantized path batch-size-invariant: a
+// Per-ROW activation scales make the int8 path batch-size-invariant: a
 // row's quantized representation (and so its output) depends only on that
 // row. This is the property that lets the int8 serving path keep the
 // PredictBatched == PredictAst bitwise contract.
-TEST(QuantizedLinearTest, RowResultsAreBatchSizeInvariantBitwise) {
+TEST(Int8LinearTest, RowResultsAreBatchSizeInvariantBitwise) {
   Rng rng(45);
   const int m = 33, k = 20, n = 31;
   Linear linear(k, n, &rng);
   Matrix x = RandomMatrix(m, k, &rng);
-  QuantizedLinear qlinear(linear);
+  linear.PackInt8({});
   for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     const KernelIsa prev = ActiveKernelIsa();
     if (!SetKernelIsa(isa)) {
       continue;
     }
     Workspace ws;
-    Matrix* full = qlinear.ForwardInference(x, &ws);
+    Matrix* full = Int8Forward(linear, x, &ws);
     for (int i = 0; i < m; ++i) {
       Matrix row(1, k);
       for (int p = 0; p < k; ++p) {
         row.At(0, p) = x.At(i, p);
       }
       Workspace ws_row;
-      Matrix* alone = qlinear.ForwardInference(row, &ws_row);
+      Matrix* alone = Int8Forward(linear, row, &ws_row);
       for (int j = 0; j < n; ++j) {
         ASSERT_EQ(full->At(i, j), alone->At(0, j))
             << "isa=" << KernelIsaName(isa) << " row " << i << " col " << j;
@@ -195,15 +208,17 @@ TEST(QuantizedLinearTest, RowResultsAreBatchSizeInvariantBitwise) {
   }
 }
 
-TEST(QuantizedMlpTest, TracksFp32MlpClosely) {
+TEST(Int8MlpTest, TracksFp32MlpClosely) {
   Rng rng(46);
   Mlp mlp({30, 24, 16, 1}, &rng);
   Matrix x = RandomMatrix(9, 30, &rng);
   Workspace ws;
   const Matrix& y_fp32 = *mlp.ForwardInference(x, &ws);
-  QuantizedMlp qmlp(mlp);
-  EXPECT_EQ(qmlp.num_layers(), 3u);
-  Matrix* y_q = qmlp.ForwardInference(x, &ws);
+  ASSERT_EQ(mlp.num_linear_layers(), 3u);
+  for (size_t i = 0; i < mlp.num_linear_layers(); ++i) {
+    mlp.linear_layer(i).PackInt8({});
+  }
+  Matrix* y_q = mlp.ForwardInference(x, &ws, Precision::kInt8);
   // Stacked quantization noise across three layers on random (untrained,
   // Xavier-scale) weights: int8 weight rounding dominates (the 12-bit
   // activation codes contribute ~nothing) and measures well under 2% of the
@@ -217,6 +232,21 @@ TEST(QuantizedMlpTest, TracksFp32MlpClosely) {
     EXPECT_LE(std::abs(static_cast<double>(y_q->data()[i]) - y_fp32.data()[i]),
               0.02 * absmax)
         << "element " << i;
+  }
+}
+
+// An int8 call through layers holding no packs is the fp32 forward bit for
+// bit: which GEMMs run int8 is decided by the packs alone.
+TEST(Int8EncoderTest, Int8CallWithoutPacksIsFp32Bitwise) {
+  Rng rng(54);
+  TransformerEncoder enc(/*d_model=*/16, /*num_heads=*/2, /*d_ff=*/32, /*num_layers=*/2, &rng);
+  Matrix x = RandomMatrix(3 * 5, 16, &rng);  // 3 samples x seq_len 5
+  Workspace ws_fp32, ws_int8;
+  const Matrix* fp32 = enc.ForwardInference(x, 5, &ws_fp32);
+  const Matrix* int8 = enc.ForwardInference(x, 5, &ws_int8, Precision::kInt8);
+  ASSERT_EQ(fp32->size(), int8->size());
+  for (size_t i = 0; i < fp32->size(); ++i) {
+    ASSERT_EQ(fp32->data()[i], int8->data()[i]) << "element " << i;
   }
 }
 
@@ -277,18 +307,18 @@ TEST(QuantizeActivationsScaledTest, RoundTripErrorBoundedPerChannel) {
   }
 }
 
-TEST(QuantizedLinearTest, UnitColumnScalesMatchPlainConstructorBitwise) {
+TEST(Int8LinearTest, UnitColumnScalesMatchPlainPackBitwise) {
   Rng rng(49);
   const int m = 7, k = 19, n = 13;
   Linear linear(k, n, &rng);
   Matrix x = RandomMatrix(m, k, &rng);
-  QuantizedLinear plain(linear);
-  QuantizedLinear scaled(linear, std::vector<float>(static_cast<size_t>(k), 1.0f));
-  EXPECT_FALSE(plain.has_col_scales());
-  EXPECT_TRUE(scaled.has_col_scales());
-  Workspace ws1, ws2;
-  Matrix* y_plain = plain.ForwardInference(x, &ws1);
-  Matrix* y_scaled = scaled.ForwardInference(x, &ws2);
+  Workspace ws;
+  linear.PackInt8({});
+  EXPECT_TRUE(linear.int8_pack()->inv_col_scales.empty());
+  const Matrix* y_plain = Int8Forward(linear, x, &ws);
+  linear.PackInt8(std::vector<float>(static_cast<size_t>(k), 1.0f));
+  EXPECT_EQ(linear.int8_pack()->inv_col_scales.size(), static_cast<size_t>(k));
+  const Matrix* y_scaled = Int8Forward(linear, x, &ws);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       EXPECT_EQ(y_plain->At(i, j), y_scaled->At(i, j)) << "(" << i << ", " << j << ")";
@@ -300,7 +330,7 @@ TEST(QuantizedLinearTest, UnitColumnScalesMatchPlainConstructorBitwise) {
 // path, just in the scaled domain: activations x' = x / c, weights w' = w * c
 // (both as the fp32 products the layer actually rounded), so
 // |y_q - sum x'w'| <= sum_p |w'| ex + sum_p |x'| ew + k ex ew.
-TEST(QuantizedLinearTest, PerChannelEpilogueStaysWithinAnalyticBound) {
+TEST(Int8LinearTest, PerChannelEpilogueStaysWithinAnalyticBound) {
   Rng rng(50);
   const int m = 9, k = 26, n = 15;
   Linear linear(k, n, &rng);
@@ -309,14 +339,14 @@ TEST(QuantizedLinearTest, PerChannelEpilogueStaysWithinAnalyticBound) {
   for (int p = 0; p < k; ++p) {
     col[static_cast<size_t>(p)] = static_cast<float>(0.25 + 4.0 * rng.Uniform(0.0, 1.0));
   }
-  QuantizedLinear qlinear(linear, col);
+  linear.PackInt8(col);
   Workspace ws;
-  Matrix* y_q = qlinear.ForwardInference(x, &ws);
+  Matrix* y_q = Int8Forward(linear, x, &ws);
 
   const float qmax = static_cast<float>(ActivationQMax(k));
-  const std::vector<float>& inv_col = qlinear.inv_col_scales();
+  const std::vector<float>& inv_col = linear.int8_pack()->inv_col_scales;
   ASSERT_EQ(inv_col.size(), static_cast<size_t>(k));
-  const PackedQ8Weights& packed = qlinear.weights();
+  const PackedQ8Weights& packed = linear.int8_pack()->weights;
   for (int i = 0; i < m; ++i) {
     // The scaled-domain activations and per-row scale the layer derived.
     std::vector<float> xs(static_cast<size_t>(k));
@@ -362,7 +392,7 @@ TEST(BalancedColumnScalesTest, SingleWeightDelegatesToMultiConsumer) {
   EXPECT_EQ(single, multi);
 }
 
-TEST(QuantizedLinearTest, ForwardPreQuantizedSharesOneQuantizationAcrossConsumers) {
+TEST(Int8LinearTest, SharedInputQuantizationFeedsEveryConsumer) {
   Rng rng(52);
   const int m = 8, k = 24, n = 24;
   Linear wq(k, n, &rng), wk(k, n, &rng), wv(k, n, &rng);
@@ -374,28 +404,35 @@ TEST(QuantizedLinearTest, ForwardPreQuantizedSharesOneQuantizationAcrossConsumer
   // ONE scale vector balanced against all three consumers, folded into each.
   const std::vector<float> shared =
       BalancedColumnScales(est, {&wq.weight(), &wk.weight(), &wv.weight()});
-  const QuantizedLinear q0(wq, shared), q1(wk, shared), q2(wv, shared);
-  ASSERT_EQ(q0.inv_col_scales(), q1.inv_col_scales());
-  ASSERT_EQ(q0.inv_col_scales(), q2.inv_col_scales());
+  for (Linear* w : {&wq, &wk, &wv}) {
+    w->PackInt8(shared);
+  }
+  ASSERT_TRUE(wq.SharesInt8Input(wk));
+  ASSERT_TRUE(wq.SharesInt8Input(wv));
 
-  // Quantize x once; feed the same codes to all three GEMMs.
-  const int ldq = 2 * q0.k2();
-  std::vector<int16_t> codes(static_cast<size_t>(m) * ldq);
-  std::vector<float> row_scales(static_cast<size_t>(m));
-  QuantizeActivationsPerRowScaled(m, k, x.data(), k, q0.inv_col_scales().data(), codes.data(),
-                                  ldq, row_scales.data());
-  const QuantizedLinear* consumers[3] = {&q0, &q1, &q2};
-  for (const QuantizedLinear* q : consumers) {
-    Workspace ws_pre, ws_direct;
-    Matrix* pre = q->ForwardPreQuantized(m, codes.data(), ldq, row_scales.data(), &ws_pre);
-    Matrix* direct = q->ForwardInference(x, &ws_direct);
-    for (int i = 0; i < m; ++i) {
+  // Quantize x once (rows [2, m), as a shard would); feed the same codes to
+  // all three GEMMs.
+  const int r0 = 2;
+  Workspace ws_codes;
+  const Linear::QuantizedRows xq = wq.QuantizeRows(x, r0, m, &ws_codes);
+  for (const Linear* w : {&wq, &wk, &wv}) {
+    Workspace ws_direct;
+    Matrix pre(m, n);
+    w->ForwardQuantizedRowsInto(xq, r0, m, Activation::kNone, &pre);
+    Matrix* direct = Int8Forward(*w, x, &ws_direct);
+    for (int i = r0; i < m; ++i) {
       for (int j = 0; j < n; ++j) {
-        // ForwardInference is exactly quantize + ForwardPreQuantized.
-        ASSERT_EQ(pre->At(i, j), direct->At(i, j)) << "(" << i << ", " << j << ")";
+        // The int8 forward is exactly QuantizeRows + ForwardQuantizedRowsInto.
+        ASSERT_EQ(pre.At(i, j), direct->At(i, j)) << "(" << i << ", " << j << ")";
       }
     }
   }
+
+  // Different column scales (or none) quantize differently: no sharing.
+  wv.PackInt8({});
+  EXPECT_FALSE(wq.SharesInt8Input(wv));
+  wv.DropInt8();
+  EXPECT_FALSE(wq.SharesInt8Input(wv));
 }
 
 // ---- ISA dispatch of the quantize pass -------------------------------------

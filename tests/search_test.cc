@@ -166,17 +166,13 @@ SearchWorld& World() {
             ExtractCompactAst(GenerateProgram(info.task, SampleSchedule(info.task, &srng))));
       }
     }
-    // Materialize every head (both precisions) now so neither client's lazy
-    // head creation can depend on which side runs first.
-    const bool int8_mode = DefaultPrecision() != Precision::kFp32;
-    if (int8_mode) {
+    // Materialize every head (int8-packed in int8 mode) now so neither
+    // client's lazy head creation can depend on which side runs first.
+    if (DefaultPrecision() != Precision::kFp32) {
       w->predictor->PrepareQuantizedInference();
     }
     for (const CompactAst& ast : w->workload) {
       w->predictor->EnsureHead(ast.num_leaves);
-      if (int8_mode) {
-        w->predictor->EnsureQuantizedHead(ast.num_leaves);
-      }
     }
     w->search_task = w->ds.tasks.front().task;
     return w;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "src/device/device.h"
+#include "src/search/cost_model_client.h"
 #include "src/serve/prediction_service.h"
 #include "src/support/cpu_features.h"
 #include "src/support/parallel_for.h"
@@ -196,12 +197,12 @@ TEST(ServeTest, ConcurrentSubmitMatchesSingleThreadedPredictor) {
   // quantized path — which is batch-size-invariant bitwise thanks to its
   // per-row activation scales, so the same equality holds.
   // Expectations must come from the same data plane the service will use:
-  // the active CDMPP_PRECISION (any of the three tiers on the CI matrix).
+  // the active CDMPP_PRECISION (either tier on the CI matrix).
   const Precision mode = DefaultPrecision();
   if (mode != Precision::kFp32) {
     w.predictor->PrepareQuantizedInference();
     for (const CompactAst& ast : w.workload) {
-      w.predictor->EnsureQuantizedHead(ast.num_leaves);
+      w.predictor->EnsureHead(ast.num_leaves);
     }
   }
   std::vector<double> expected;
@@ -507,7 +508,7 @@ TEST(QuantizedServingTest, Int8PredictorAgreesWithFp32WithinOnePercent) {
   ServeWorld& w = World();
   w.predictor->PrepareQuantizedInference();
   for (const CompactAst& ast : w.workload) {
-    w.predictor->EnsureQuantizedHead(ast.num_leaves);
+    w.predictor->EnsureHead(ast.num_leaves);
   }
   AstBatchView view;
   for (const CompactAst& ast : w.workload) {
@@ -531,7 +532,7 @@ TEST(QuantizedServingTest, QuantizedBatchedMatchesQuantizedSingleBitwise) {
   ServeWorld& w = World();
   w.predictor->PrepareQuantizedInference();
   for (const CompactAst& ast : w.workload) {
-    w.predictor->EnsureQuantizedHead(ast.num_leaves);
+    w.predictor->EnsureHead(ast.num_leaves);
   }
   AstBatchView view;
   for (const CompactAst& ast : w.workload) {
@@ -574,6 +575,73 @@ TEST(QuantizedServingTest, Int8ServiceMatchesDirectQuantizedForward) {
   EXPECT_EQ(stats.precision, "int8");
   EXPECT_GT(stats.forward_passes, 0u);
   EXPECT_NE(stats.ToString().find("precision int8"), std::string::npos);
+}
+
+// Int8 packs snapshot the fp32 weights, so whatever changes the weights
+// drops them: after ImportParams or training, quantized_ready() is false and
+// an int8 forward fails its check until the model is prepared again. A
+// DirectCostModel or PredictionService built on such a model re-prepares it.
+TEST(QuantizedServingTest, WeightChangesDropInt8PacksUntilReprepared) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeWorld& w = World();
+  PredictorConfig cfg = w.predictor->config();
+  cfg.num_layers = 2;
+  cfg.epochs = 1;
+  CdmppPredictor predictor(cfg);
+  Rng rng(4);
+  const SplitIndices split = SplitDataset(w.ds, {0}, {}, &rng);
+  predictor.Pretrain(w.ds, split.train, /*valid=*/{});
+  EXPECT_FALSE(predictor.quantized_ready());
+  predictor.PrepareQuantizedInference();
+  EXPECT_TRUE(predictor.quantized_ready());
+  AstBatchView view;
+  std::vector<CostQuery> queries;
+  for (const CompactAst& ast : w.workload) {
+    predictor.EnsureHead(ast.num_leaves);  // packed: the predictor is prepared
+    view.asts.push_back(&ast);
+    view.device_ids.push_back(0);
+    queries.push_back({&ast, 0});
+  }
+  const std::vector<double> prepared = predictor.PredictBatchedQuantized(view);
+
+  // ImportParams drops the packs, even when it restores the same weights;
+  // preparing again rebuilds the same packs.
+  predictor.ImportParams(predictor.ExportParams());
+  EXPECT_FALSE(predictor.quantized_ready());
+  EXPECT_DEATH(predictor.PredictBatchedQuantized(view), "PrepareQuantizedInference");
+  predictor.PrepareQuantizedInference();
+  EXPECT_EQ(predictor.PredictBatchedQuantized(view), prepared);
+
+  // Training drops them too; a DirectCostModel built afterwards re-prepares.
+  predictor.Pretrain(w.ds, split.train, /*valid=*/{});
+  EXPECT_FALSE(predictor.quantized_ready());
+  {
+    DirectCostModel direct(&predictor, Precision::kInt8);
+    EXPECT_TRUE(predictor.quantized_ready());
+    std::vector<double> scores;
+    direct.ScoreBatch(queries, &scores);
+    EXPECT_EQ(scores, predictor.PredictBatchedQuantized(view));
+    EXPECT_NE(scores, prepared);  // the retrained weights were packed
+  }
+
+  // And so does a PredictionService.
+  predictor.Pretrain(w.ds, split.train, /*valid=*/{});
+  EXPECT_FALSE(predictor.quantized_ready());
+  ServeOptions opts;
+  opts.num_workers = 2;
+  opts.enable_cache = false;
+  opts.precision = Precision::kInt8;
+  PredictionService service(&predictor, opts);
+  EXPECT_TRUE(predictor.quantized_ready());
+  std::vector<std::future<double>> futures;
+  for (const CompactAst& ast : w.workload) {
+    futures.push_back(service.Submit(ast, 0));
+  }
+  std::vector<double> served;
+  for (std::future<double>& f : futures) {
+    served.push_back(f.get());
+  }
+  EXPECT_EQ(served, predictor.PredictBatchedQuantized(view));
 }
 
 // ---- ServerStats unit tests ------------------------------------------------

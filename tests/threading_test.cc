@@ -328,7 +328,7 @@ TestWorld& World() {
     }
     w->predictor->PrepareQuantizedInference();
     for (const CompactAst& ast : w->workload) {
-      w->predictor->EnsureQuantizedHead(ast.num_leaves);  // also ensures the fp32 head
+      w->predictor->EnsureHead(ast.num_leaves);  // packed: the predictor is prepared
     }
     return w;
   }();

@@ -113,19 +113,15 @@ StressWorld& World() {
     }
     // Expectations come from the data plane the service will actually use
     // (the active CDMPP_PRECISION, so this test is meaningful on every CI
-    // matrix leg). Quantized snapshots are a deterministic function of the
-    // fp32 parameters: the service constructor's own PrepareQuantizedInference
+    // matrix leg). Int8 packs are a deterministic function of the fp32
+    // parameters: the service constructor's own PrepareQuantizedInference
     // and every later Recalibrate() rebuild bitwise-identical ones.
     const Precision mode = DefaultPrecision();
     if (mode != Precision::kFp32) {
       w->predictor->PrepareQuantizedInference();
     }
     for (const CompactAst& ast : w->workload) {
-      if (mode != Precision::kFp32) {
-        w->predictor->EnsureQuantizedHead(ast.num_leaves);
-      } else {
-        w->predictor->EnsureHead(ast.num_leaves);
-      }
+      w->predictor->EnsureHead(ast.num_leaves);
     }
     for (const CompactAst& ast : w->workload) {
       AstBatchView one;

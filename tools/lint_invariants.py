@@ -54,9 +54,10 @@ in a temp tree and asserts the linter catches it):
                         RunSampleShards is a fork call, and the row primitives
                         and gradient/optimizer kernels its shard and task
                         bodies call (every *Rows* function, the layers' shared
-                        ForwardRowsInto bodies included, CacheDest,
-                        RunGradTask, AddColumnSums, AdamUpdate in the training
-                        sources) must be token-free too: shard scratch comes
+                        ForwardRowsInto bodies included, CacheDest, the
+                        Build*MatrixInto featurizers, RunGradTask,
+                        AddColumnSums, AdamUpdate in the training sources)
+                        must be token-free too: shard scratch comes
                         from the region's leases or from caches sized before
                         the fork.
                         So is the serving forward: layers no longer fork per
@@ -67,12 +68,14 @@ in a temp tree and asserts the linter catches it):
                         function a shard calls (ForwardShard, every
                         *ForwardInference, the layers' shared ForwardRowsInto
                         bodies and ArenaDest, AttentionContextRows, AddRows,
-                        ForwardPreQuantized, ForwardLayerStack, SoftmaxRows,
+                        Linear's int8 row helpers QuantizeRows and
+                        ForwardQuantizedRowsInto, SoftmaxRows,
                         QuantizeRowsImpl, the Pack*Rows* packers and the
                         featurizers) must be token-free: its tensors come from
-                        the shard's arena. The ForwardRowsInto bodies and
-                        AttentionContextRows run in both regions, so both
-                        scopes scan them.
+                        the shard's arena. The ForwardRowsInto bodies (Linear's
+                        int8 branch included), AttentionContextRows and the
+                        featurizers run in both regions, so both scopes scan
+                        them.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
@@ -371,7 +374,8 @@ TRAINING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention
                   "src/nn/transformer.cc", "src/nn/optimizer.cc",
                   "src/dataset/batching.cc")
 TRAINING_SHARD_FN = re.compile(
-    r'\b(?:\w*Rows\w*|CacheDest|RunGradTask|AddColumnSums|AdamUpdate)\s*\(')
+    r'\b(?:\w*Rows\w*|CacheDest|Build\w*MatrixInto|RunGradTask|AddColumnSums|'
+    r'AdamUpdate)\s*\(')
 
 
 def function_bodies(text, name_re):
@@ -407,7 +411,7 @@ SERVING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.
                  "src/nn/transformer.cc", "src/nn/quantize.cc", "src/dataset/batching.cc")
 SERVING_SHARD_FN = re.compile(
     r'\b(?:ForwardShard|\w*ForwardInference|ForwardRowsInto|ArenaDest|AttentionContextRows|'
-    r'AddRows|ForwardPreQuantized|ForwardLayerStack|SoftmaxRows|QuantizeRowsImpl|'
+    r'AddRows|QuantizeRows|ForwardQuantizedRowsInto|SoftmaxRows|QuantizeRowsImpl|'
     r'Pack\w*Rows\w*|LeafFeatureRowsInto|Build\w*MatrixInto)\s*\(')
 
 
@@ -597,6 +601,19 @@ SEEDED_VIOLATIONS = {
          "                                                 const Dest& dest) const {\n"
          "  auto ff = std::make_unique<Matrix>(r1 - r0, x.cols());\n"
          "  return dest.norm2.y;\n"
+         "}\n",
+         ("training row primitive", "serving shard function")),
+        # Linear's int8 branch, which serving shards run and which sits in
+        # the body training runs: a heap buffer for the quantized codes
+        # there must fire in both scopes.
+        ("src/nn/layers.cc",
+         "void Linear::ForwardRowsInto(const Matrix& x, int r0, int r1, kernels::Activation act,\n"
+         "                             Precision precision, Matrix* y, Workspace* scratch) const {\n"
+         "  if (precision == Precision::kInt8 && int8_ != nullptr) {\n"
+         "    std::vector<int16_t> codes;\n"
+         "    codes.resize(static_cast<size_t>(r1 - r0) * x.cols());\n"
+         "    return;\n"
+         "  }\n"
          "}\n",
          ("training row primitive", "serving shard function")),
         # The serving forward, leg 1: a wave's shard body that grows a
