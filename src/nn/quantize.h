@@ -24,7 +24,9 @@
 //
 // Accuracy contract: |q*scale - x| <= scale/2 per element (round-to-nearest,
 // pinned by tests/quantize_test.cc); end-to-end the int8 predictor agrees
-// with fp32 to <= 1% relative on the serving fixtures (tests/serve_test.cc).
+// with fp32 to <= 1% relative on the 1-layer serving fixture
+// (tests/serve_test.cc). Deeper encoders measure wider (README "Int8
+// quantized serving").
 //
 // This file holds the scheme's free functions. The layer side is Linear's
 // int8 pack (src/nn/layers.h): Linear::PackInt8 quantizes a Linear's weights

@@ -7,11 +7,11 @@
 // One test drives, concurrently:
 //   * several client threads hammering PredictionService::Submit (duplicate
 //     keys included, so coalescing and the cache-hit fast path both fire),
-//   * a recalibration thread re-preparing the int8 snapshots through
+//   * a recalibration thread re-preparing the int8 weight packs through
 //     PredictionService::Recalibrate() — the exclusive-model-lock API;
 //     calling predictor->PrepareQuantizedInference() directly here would be
-//     a data race on the snapshot pointers against the workers' lock-free
-//     forwards, which is exactly why the API exists,
+//     a data race on the Linears' pack pointers against the workers'
+//     lock-free forwards, which is exactly why the API exists,
 //   * a stats thread cycling ServerStats::Snapshot / ResetStats / ToString
 //     plus MetricsRegistry and TraceCollector dumps,
 //   * a WorkspacePool churn thread leasing/returning global-pool arenas
