@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/ast/compact_ast.h"
+#include "src/dataset/model_zoo.h"
+#include "src/support/fnv_hash.h"
 #include "src/tir/schedule.h"
 
 namespace cdmpp {
@@ -97,6 +99,32 @@ TEST(CompactAstTest, VectorizeFlagReflectsSchedule) {
     EXPECT_EQ(cv[19], 0.0f);
     EXPECT_EQ(cv[22], 0.0f);
   }
+}
+
+// Pins extraction field for field: one FNV-1a over Hash(), num_nodes,
+// max_depth and ProgramFlops of 2,000 programs sampled from the model zoo.
+// Extraction and lowering run no kernel code, so one value holds under every
+// kernel ISA.
+TEST(CompactAstTest, ZooProgramsMatchGoldenFingerprint) {
+  std::vector<Task> tasks;
+  for (const NetworkDef& net : BuildModelZoo()) {
+    for (const NetworkOp& op : net.ops) {
+      tasks.push_back(op.task);
+    }
+  }
+  Rng rng(2024);
+  uint64_t h = kFnvOffset;
+  for (int i = 0; i < 2000; ++i) {
+    const Task& t = tasks[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(tasks.size()) - 1))];
+    TensorProgram prog = GenerateProgram(t, SampleSchedule(t, &rng));
+    CompactAst ast = ExtractCompactAst(prog);
+    h = FnvMix(h, ast.Hash());
+    h = FnvMix(h, static_cast<uint64_t>(ast.num_nodes));
+    h = FnvMix(h, static_cast<uint64_t>(ast.max_depth));
+    h = FnvMixDouble(h, ProgramFlops(prog));
+  }
+  EXPECT_EQ(h, 0x6bc7a9f6b4f8a87eull);
 }
 
 TEST(CompactAstHashTest, EqualAstsHashEqual) {

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -5,6 +6,8 @@
 #include "src/dataset/batching.h"
 #include "src/dataset/dataset.h"
 #include "src/dataset/model_zoo.h"
+#include "src/support/fnv_hash.h"
+#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 namespace {
@@ -16,6 +19,46 @@ DatasetOptions SmallOptions() {
   opts.max_networks = 12;
   opts.seed = 101;
   return opts;
+}
+
+// Every device with noise on: the build whose output the golden pins.
+DatasetOptions GoldenOptions() {
+  DatasetOptions opts;  // all nine devices, noise_sigma 0.03
+  opts.schedules_per_task = 3;
+  opts.max_networks = 6;
+  opts.seed = 23;
+  return opts;
+}
+
+// Routes ThreadPool::Global() to a private pool for one scope.
+struct ScopedPool {
+  explicit ScopedPool(int threads) : pool(threads) { ThreadPool::SetGlobalForTesting(&pool); }
+  ~ScopedPool() { ThreadPool::SetGlobalForTesting(nullptr); }
+  ThreadPool pool;
+};
+
+// One FNV-1a over every sample's (program, device, latency bits), every
+// program's AST hash and one split of the whole dataset.
+uint64_t DatasetFingerprint(const Dataset& ds) {
+  uint64_t h = kFnvOffset;
+  for (const Sample& s : ds.samples) {
+    h = FnvMix(h, static_cast<uint64_t>(s.program_index));
+    h = FnvMix(h, static_cast<uint64_t>(s.device_id));
+    h = FnvMixDouble(h, s.latency_seconds);
+  }
+  for (const ProgramRecord& rec : ds.programs) {
+    h = FnvMix(h, rec.ast.Hash());
+  }
+  Rng rng(5);
+  const SplitIndices split =
+      SplitDataset(ds, /*device_ids=*/{}, {ds.ModelIdByName("resnet50_bs1_r224")}, &rng);
+  for (const std::vector<int>* part : {&split.train, &split.valid, &split.test, &split.holdout}) {
+    h = FnvMix(h, part->size());
+    for (int idx : *part) {
+      h = FnvMix(h, static_cast<uint64_t>(idx));
+    }
+  }
+  return h;
 }
 
 TEST(ModelZooTest, Has120Networks) {
@@ -102,6 +145,43 @@ TEST(DatasetTest, DeterministicAcrossBuilds) {
   ASSERT_EQ(a.samples.size(), b.samples.size());
   for (size_t i = 0; i < a.samples.size(); i += 17) {
     EXPECT_DOUBLE_EQ(a.samples[i].latency_seconds, b.samples[i].latency_seconds);
+  }
+}
+
+// The build runs no kernel code, so one golden holds under every kernel ISA.
+TEST(DatasetTest, BuildMatchesGoldenFingerprint) {
+  const Dataset ds = BuildDataset(GoldenOptions());
+  EXPECT_EQ(ds.samples.size(), ds.programs.size() * DeviceRegistry().size());
+  EXPECT_EQ(DatasetFingerprint(ds), 0x63da01be31c32fa0ull);
+}
+
+TEST(DatasetTest, BuildIsBitwiseInvariantAcrossPoolSizes) {
+  std::vector<Dataset> builds;
+  for (int threads : {1, 2, 4}) {
+    ScopedPool pool(threads);
+    builds.push_back(BuildDataset(GoldenOptions()));
+  }
+  const Dataset& ref = builds.front();
+  for (size_t b = 1; b < builds.size(); ++b) {
+    const Dataset& ds = builds[b];
+    ASSERT_EQ(ds.samples.size(), ref.samples.size());
+    EXPECT_EQ(std::memcmp(ds.samples.data(), ref.samples.data(),
+                          ref.samples.size() * sizeof(Sample)),
+              0);
+    ASSERT_EQ(ds.programs.size(), ref.programs.size());
+    for (size_t p = 0; p < ref.programs.size(); ++p) {
+      const CompactAst& a = ds.programs[p].ast;
+      const CompactAst& r = ref.programs[p].ast;
+      EXPECT_EQ(ds.programs[p].task_id, ref.programs[p].task_id);
+      EXPECT_EQ(a.num_nodes, r.num_nodes);
+      EXPECT_EQ(a.max_depth, r.max_depth);
+      EXPECT_EQ(a.ordering, r.ordering);
+      ASSERT_EQ(a.leaves.size(), r.leaves.size());
+      EXPECT_EQ(std::memcmp(a.leaves.data(), r.leaves.data(),
+                            r.leaves.size() * sizeof(ComputationVector)),
+                0)
+          << "program " << p;
+    }
   }
 }
 
