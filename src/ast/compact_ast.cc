@@ -1,5 +1,6 @@
 #include "src/ast/compact_ast.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/support/check.h"
@@ -126,19 +127,23 @@ ComputationVector BuildComputationVector(const LeafContext& leaf) {
 
 CompactAst ExtractCompactAst(const TensorProgram& prog) {
   CDMPP_CHECK(prog.root != nullptr);
+  // One walk fills counts, depth, ordering and vectors. The rows collect in
+  // per-thread scratch so the AST's own vectors are allocated once, at their
+  // final size.
+  thread_local LeafContext ctx;
+  thread_local std::vector<ComputationVector> rows;
+  thread_local std::vector<int> ordering;
+  rows.clear();
+  ordering.clear();
   CompactAst ast;
-  ast.num_nodes = CountNodes(*prog.root);
-  ast.num_leaves = CountLeaves(*prog.root);
-  ast.max_depth = MaxDepth(*prog.root);
-
-  std::vector<LeafContext> leaves = CollectLeaves(*prog.root);
-  CDMPP_CHECK(static_cast<int>(leaves.size()) == ast.num_leaves);
-  ast.leaves.reserve(leaves.size());
-  ast.ordering.reserve(leaves.size());
-  for (const LeafContext& leaf : leaves) {
-    ast.leaves.push_back(BuildComputationVector(leaf));
-    ast.ordering.push_back(leaf.preorder_index);
-  }
+  ast.num_nodes = ForEachLeaf(*prog.root, &ctx, [&](const LeafContext& leaf) {
+    rows.push_back(BuildComputationVector(leaf));
+    ordering.push_back(leaf.preorder_index);
+    ast.max_depth = std::max(ast.max_depth, static_cast<int>(leaf.loops.size()));
+  });
+  ast.num_leaves = static_cast<int>(rows.size());
+  ast.leaves.assign(rows.begin(), rows.end());
+  ast.ordering.assign(ordering.begin(), ordering.end());
   return ast;
 }
 

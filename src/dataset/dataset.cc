@@ -4,6 +4,7 @@
 
 #include "src/device/simulator.h"
 #include "src/support/check.h"
+#include "src/support/parallel_for.h"
 
 namespace cdmpp {
 
@@ -99,39 +100,59 @@ Dataset BuildDataset(const DatasetOptions& opts) {
     }
   }
 
-  // Sample schedules per task and extract compact ASTs once per program.
+  // 1. Sample every schedule serially, on one rng stream.
   Rng rng(opts.seed);
   for (TaskInfo& info : ds.tasks) {
     for (int s = 0; s < opts.schedules_per_task; ++s) {
       ProgramRecord rec;
       rec.task_id = info.task.id;
       rec.schedule = SampleSchedule(info.task, &rng);
-      TensorProgram prog = GenerateProgram(info.task, rec.schedule);
-      rec.ast = ExtractCompactAst(prog);
       info.program_indices.push_back(static_cast<int>(ds.programs.size()));
       ds.programs.push_back(std::move(rec));
     }
   }
 
-  // Simulate latency of every program on every requested device.
-  std::vector<int> device_ids = opts.device_ids;
-  if (device_ids.empty()) {
+  std::vector<const DeviceSpec*> specs;
+  if (opts.device_ids.empty()) {
     for (const DeviceSpec& spec : DeviceRegistry()) {
-      device_ids.push_back(spec.id);
+      specs.push_back(&spec);
+    }
+  } else {
+    for (int device_id : opts.device_ids) {
+      specs.push_back(&DeviceById(device_id));
     }
   }
+
+  // 2. Lower each program once: extract its compact AST and label it on
+  // every device. Samples are device-major (sample d * P + p is program p on
+  // device d); every iteration writes only its own program's slots, so the
+  // result does not depend on the pool size.
+  const size_t num_programs = ds.programs.size();
+  ds.samples.resize(specs.size() * num_programs);
+  ParallelFor(
+      0, static_cast<int64_t>(num_programs), ParallelGrain(static_cast<int64_t>(num_programs)),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          const size_t p = static_cast<size_t>(i);
+          ProgramRecord& rec = ds.programs[p];
+          const TensorProgram prog =
+              GenerateProgram(ds.tasks[static_cast<size_t>(rec.task_id)].task, rec.schedule);
+          rec.ast = ExtractCompactAst(prog);
+          for (size_t d = 0; d < specs.size(); ++d) {
+            Sample& sample = ds.samples[d * num_programs + p];
+            sample.program_index = static_cast<int>(p);
+            sample.device_id = specs[d]->id;
+            sample.latency_seconds = SimulateLatencyDeterministic(prog, *specs[d]);
+          }
+        }
+      });
+
+  // 3. Multiplicative log-normal measurement noise, drawn serially in
+  // storage order from an Rng forked off the schedule stream.
   Rng noise_rng = rng.Fork();
-  for (int device_id : device_ids) {
-    const DeviceSpec& spec = DeviceById(device_id);
-    for (size_t p = 0; p < ds.programs.size(); ++p) {
-      const ProgramRecord& rec = ds.programs[p];
-      TensorProgram prog =
-          GenerateProgram(ds.tasks[static_cast<size_t>(rec.task_id)].task, rec.schedule);
-      Sample sample;
-      sample.program_index = static_cast<int>(p);
-      sample.device_id = device_id;
-      sample.latency_seconds = SimulateLatency(prog, spec, opts.noise_sigma, &noise_rng);
-      ds.samples.push_back(sample);
+  if (opts.noise_sigma > 0.0) {
+    for (Sample& sample : ds.samples) {
+      sample.latency_seconds *= noise_rng.LogNormalFactor(opts.noise_sigma);
     }
   }
   return ds;

@@ -2,6 +2,11 @@
 // -> tensor programs -> compact ASTs -> simulated per-device latencies.
 // This is the synthetic stand-in for Tenset plus the authors' own profiling
 // (paper §7.1, Table 2).
+//
+// BuildDataset lowers each program once: schedules are sampled serially, one
+// ParallelFor over programs lowers each, extracts its AST and labels it on
+// every device, and the measurement noise is then drawn serially in sample
+// order. The result is bitwise the same for every thread-pool size.
 #ifndef SRC_DATASET_DATASET_H_
 #define SRC_DATASET_DATASET_H_
 
@@ -58,7 +63,9 @@ struct DatasetOptions {
   int max_networks = -1;          // cap zoo size for quick tests (-1 = all)
 };
 
-// Builds the dataset deterministically from the options.
+// Builds the dataset deterministically from the options. `samples` is
+// device-major: sample d * programs.size() + p is program p on the d-th
+// device of `opts.device_ids` (registry order when empty).
 Dataset BuildDataset(const DatasetOptions& opts);
 
 // Sample-index splits. Hold-out model samples are excluded from all three

@@ -147,21 +147,11 @@ LeafTiming SimulateLeaf(const LeafContext& leaf, const DeviceSpec& spec) {
 
 double SimulateLatencyDeterministic(const TensorProgram& prog, const DeviceSpec& spec) {
   CDMPP_CHECK(prog.root != nullptr);
+  thread_local LeafContext ctx;  // reused ancestor stack: a warm walk allocates nothing
   double total = spec.launch_overhead_us * 1e-6;
-  for (const LeafContext& leaf : CollectLeaves(*prog.root)) {
-    total += SimulateLeaf(leaf, spec).Total();
-  }
+  ForEachLeaf(*prog.root, &ctx,
+              [&](const LeafContext& leaf) { total += SimulateLeaf(leaf, spec).Total(); });
   return total;
-}
-
-double SimulateLatency(const TensorProgram& prog, const DeviceSpec& spec, double noise_sigma,
-                       Rng* rng) {
-  double base = SimulateLatencyDeterministic(prog, spec);
-  if (noise_sigma > 0.0) {
-    CDMPP_CHECK(rng != nullptr);
-    base *= rng->LogNormalFactor(noise_sigma);
-  }
-  return base;
 }
 
 }  // namespace cdmpp

@@ -5,15 +5,17 @@
 // by an analytical model over the scheduled loop nest: a roofline core
 // (compute vs. memory time) refined with cache-tile analysis, occupancy
 // saturation, vectorization efficiency, loop overhead and per-kernel launch
-// cost, plus multiplicative log-normal measurement noise. The model is
-// deliberately nonlinear in both the program structure and the device spec so
-// that cross-model and cross-device prediction are non-trivial learning
-// problems, as in the paper.
+// cost. The model is deliberately nonlinear in both the program structure
+// and the device spec so that cross-model and cross-device prediction are
+// non-trivial learning problems, as in the paper.
+//
+// The simulator is deterministic. BuildDataset (src/dataset/) applies the
+// multiplicative log-normal measurement noise exp(N(0, sigma)) itself, drawn
+// serially in sample order after its parallel labeling pass.
 #ifndef SRC_DEVICE_SIMULATOR_H_
 #define SRC_DEVICE_SIMULATOR_H_
 
 #include "src/device/device.h"
-#include "src/support/rng.h"
 #include "src/tir/program.h"
 
 namespace cdmpp {
@@ -26,12 +28,11 @@ struct LeafTiming {
   double Total() const;
 };
 
-// Deterministic latency (seconds) of one scheduled program on one device.
+// Deterministic latency (seconds) of one scheduled program on one device:
+// launch overhead plus the sum of SimulateLeaf over the leaves in pre-order.
+// One ForEachLeaf walk over a per-thread context, so a warm call allocates
+// nothing and concurrent calls on distinct threads are safe.
 double SimulateLatencyDeterministic(const TensorProgram& prog, const DeviceSpec& spec);
-
-// Latency with multiplicative log-normal measurement noise exp(N(0, sigma)).
-double SimulateLatency(const TensorProgram& prog, const DeviceSpec& spec, double noise_sigma,
-                       Rng* rng);
 
 // Timing of a single leaf in its loop context (unit-tested building block).
 LeafTiming SimulateLeaf(const LeafContext& leaf, const DeviceSpec& spec);

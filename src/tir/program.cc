@@ -1,6 +1,6 @@
 #include "src/tir/program.h"
 
-#include <functional>
+#include <algorithm>
 
 #include "src/support/check.h"
 
@@ -70,40 +70,24 @@ std::unique_ptr<StmtNode> StmtNode::MakeLeaf(ComputeStmt compute) {
   return node;
 }
 
-namespace {
-
-void Walk(const StmtNode& node, const std::function<void(const StmtNode&, int depth)>& fn,
-          int depth) {
-  fn(node, depth);
-  for (const auto& child : node.children) {
-    Walk(*child, fn, depth + 1);
-  }
-}
-
-}  // namespace
-
 int CountNodes(const StmtNode& root) {
-  int n = 0;
-  Walk(root, [&](const StmtNode&, int) { ++n; }, 0);
-  return n - 1;  // exclude the synthetic root
+  LeafContext ctx;
+  return ForEachLeaf(root, &ctx, [](const LeafContext&) {});
 }
 
 int CountLeaves(const StmtNode& root) {
+  LeafContext ctx;
   int n = 0;
-  Walk(root, [&](const StmtNode& node, int) { n += node.is_leaf ? 1 : 0; }, 0);
+  ForEachLeaf(root, &ctx, [&](const LeafContext&) { ++n; });
   return n;
 }
 
 int MaxDepth(const StmtNode& root) {
-  int max_depth = 0;
-  Walk(root,
-       [&](const StmtNode& node, int depth) {
-         if (node.is_leaf && depth - 1 > max_depth) {
-           max_depth = depth - 1;
-         }
-       },
-       0);
-  return max_depth;
+  LeafContext ctx;
+  size_t max_depth = 0;
+  ForEachLeaf(root, &ctx,
+              [&](const LeafContext& leaf) { max_depth = std::max(max_depth, leaf.loops.size()); });
+  return static_cast<int>(max_depth);
 }
 
 double LeafContext::Iterations() const {
@@ -114,49 +98,20 @@ double LeafContext::Iterations() const {
   return iters;
 }
 
-namespace {
-
-void CollectLeavesImpl(const StmtNode& node, std::vector<const Loop*>* path, int* counter,
-                       std::vector<LeafContext>* out, bool is_root) {
-  int my_index = *counter;
-  if (!is_root) {
-    ++*counter;  // the synthetic root does not occupy a pre-order slot
-  }
-  if (node.is_leaf) {
-    LeafContext ctx;
-    ctx.compute = &node.compute;
-    ctx.loops = *path;
-    ctx.preorder_index = my_index;
-    out->push_back(std::move(ctx));
-    return;
-  }
-  if (!is_root) {
-    path->push_back(&node.loop);
-  }
-  for (const auto& child : node.children) {
-    CollectLeavesImpl(*child, path, counter, out, /*is_root=*/false);
-  }
-  if (!is_root) {
-    path->pop_back();
-  }
-}
-
-}  // namespace
-
 std::vector<LeafContext> CollectLeaves(const StmtNode& root) {
   std::vector<LeafContext> out;
-  std::vector<const Loop*> path;
-  int counter = 0;
-  CollectLeavesImpl(root, &path, &counter, &out, /*is_root=*/true);
+  LeafContext ctx;
+  ForEachLeaf(root, &ctx, [&](const LeafContext& leaf) { out.push_back(leaf); });
   return out;
 }
 
 double ProgramFlops(const TensorProgram& prog) {
   CDMPP_CHECK(prog.root != nullptr);
+  LeafContext ctx;
   double total = 0.0;
-  for (const LeafContext& leaf : CollectLeaves(*prog.root)) {
+  ForEachLeaf(*prog.root, &ctx, [&](const LeafContext& leaf) {
     total += leaf.Iterations() * leaf.compute->ops.TotalFlops();
-  }
+  });
   return total;
 }
 

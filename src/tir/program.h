@@ -8,6 +8,11 @@
 // The root of a program is a synthetic sequence node (extent-1 loop) whose
 // children are the top-level loop nests, so multi-pass operators (softmax,
 // layernorm) are trees with several top-level chains.
+//
+// Every reader of the tree (the helpers below, the compact-AST extractor and
+// the latency simulator) walks it through one pre-order leaf visitor,
+// ForEachLeaf. The callback's LeafContext is reused across leaves, and its
+// `loops` (the live ancestor stack) is valid only during the callback.
 #ifndef SRC_TIR_PROGRAM_H_
 #define SRC_TIR_PROGRAM_H_
 
@@ -107,16 +112,9 @@ struct TensorProgram {
 
 // ---- Tree inspection helpers -------------------------------------------------
 
-// Total node count of the AST (loops + leaves), excluding the synthetic root.
-int CountNodes(const StmtNode& root);
-// Number of leaf (computation) nodes.
-int CountLeaves(const StmtNode& root);
-// Maximum loop depth over all leaves (root excluded).
-int MaxDepth(const StmtNode& root);
-
-// Per-leaf context gathered by walking the tree: the loops on the path from
-// the root to the leaf, in outermost-to-innermost order, plus the pre-order
-// position of the leaf among all nodes.
+// Per-leaf context of a walk: the loops on the path from the root to the
+// leaf, in outermost-to-innermost order, plus the pre-order position of the
+// leaf among all nodes.
 struct LeafContext {
   const ComputeStmt* compute = nullptr;
   std::vector<const Loop*> loops;  // ancestors, outer to inner
@@ -125,8 +123,58 @@ struct LeafContext {
   double Iterations() const;
 };
 
-// Collects leaves in pre-order. Pre-order indices count every node (loops and
-// leaves), matching the paper's serialization in Fig. 1(d).
+namespace detail {
+
+template <typename Fn>
+void VisitLeaves(const StmtNode& node, LeafContext* ctx, int* counter, Fn& fn) {
+  for (const auto& child : node.children) {
+    ctx->preorder_index = (*counter)++;
+    if (child->is_leaf) {
+      ctx->compute = &child->compute;
+      fn(static_cast<const LeafContext&>(*ctx));
+    } else {
+      ctx->loops.push_back(&child->loop);
+      VisitLeaves(*child, ctx, counter, fn);
+      ctx->loops.pop_back();
+    }
+  }
+}
+
+}  // namespace detail
+
+// Calls fn(const LeafContext&) for every leaf of `root` in pre-order and
+// returns the number of nodes visited (loops + leaves, excluding the
+// synthetic root). Pre-order indices count every node, matching the paper's
+// serialization in Fig. 1(d).
+//
+// `ctx` is the caller's scratch, reused for every leaf: `ctx->loops` is the
+// live ancestor stack, pushed and popped as the walk enters and leaves each
+// loop, so the walk allocates nothing once that stack has grown to the
+// tree's depth. Everything the callback sees through the context, `loops`
+// above all, is valid only during the callback; copy what must outlive it.
+template <typename Fn>
+int ForEachLeaf(const StmtNode& root, LeafContext* ctx, Fn&& fn) {
+  ctx->loops.clear();
+  ctx->preorder_index = 0;
+  if (root.is_leaf) {
+    ctx->compute = &root.compute;
+    fn(static_cast<const LeafContext&>(*ctx));
+    return 0;
+  }
+  int counter = 0;
+  detail::VisitLeaves(root, ctx, &counter, fn);
+  return counter;
+}
+
+// Total node count of the AST (loops + leaves), excluding the synthetic root.
+int CountNodes(const StmtNode& root);
+// Number of leaf (computation) nodes.
+int CountLeaves(const StmtNode& root);
+// Maximum loop depth over all leaves (root excluded).
+int MaxDepth(const StmtNode& root);
+
+// Collects every leaf's context in pre-order, each with its own copy of the
+// ancestor loops.
 std::vector<LeafContext> CollectLeaves(const StmtNode& root);
 
 // Total flops executed by the program (sum over leaves of iters * leaf flops).

@@ -6,6 +6,7 @@
 #include "src/dataset/batching.h"
 #include "src/dataset/dataset.h"
 #include "src/dataset/model_zoo.h"
+#include "src/device/simulator.h"
 #include "src/support/fnv_hash.h"
 #include "src/support/parallel_for.h"
 
@@ -139,13 +140,13 @@ TEST(DatasetTest, TasksAreDeduplicatedAcrossNetworks) {
   }
 }
 
+// The same seed gives the same bits, measurement noise included.
 TEST(DatasetTest, DeterministicAcrossBuilds) {
   Dataset a = BuildDataset(SmallOptions());
   Dataset b = BuildDataset(SmallOptions());
   ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (size_t i = 0; i < a.samples.size(); i += 17) {
-    EXPECT_DOUBLE_EQ(a.samples[i].latency_seconds, b.samples[i].latency_seconds);
-  }
+  EXPECT_EQ(std::memcmp(a.samples.data(), b.samples.data(), a.samples.size() * sizeof(Sample)),
+            0);
 }
 
 // The build runs no kernel code, so one golden holds under every kernel ISA.
@@ -183,6 +184,40 @@ TEST(DatasetTest, BuildIsBitwiseInvariantAcrossPoolSizes) {
           << "program " << p;
     }
   }
+}
+
+// Measurement noise is BuildDataset's: without it every sample is the
+// deterministic simulation bit for bit, and with it each sample is that
+// value times a small log-normal factor.
+TEST(DatasetTest, NoiselessSamplesEqualDeterministicSimulation) {
+  DatasetOptions opts = SmallOptions();
+  opts.noise_sigma = 0.0;
+  const Dataset ds = BuildDataset(opts);
+  ASSERT_FALSE(ds.samples.empty());
+  for (const Sample& s : ds.samples) {
+    const ProgramRecord& rec = ds.programs[static_cast<size_t>(s.program_index)];
+    const TensorProgram prog = GenerateProgram(ds.TaskOfProgram(s.program_index), rec.schedule);
+    const double expected = SimulateLatencyDeterministic(prog, DeviceById(s.device_id));
+    EXPECT_EQ(std::memcmp(&s.latency_seconds, &expected, sizeof(double)), 0);
+  }
+}
+
+TEST(DatasetTest, NoiseIsSmallMultiplicative) {
+  DatasetOptions opts = SmallOptions();
+  opts.noise_sigma = 0.0;
+  const Dataset clean = BuildDataset(opts);
+  opts.noise_sigma = 0.03;
+  const Dataset noisy = BuildDataset(opts);
+  ASSERT_EQ(noisy.samples.size(), clean.samples.size());
+  int changed = 0;
+  for (size_t i = 0; i < clean.samples.size(); ++i) {
+    const double base = clean.samples[i].latency_seconds;
+    const double value = noisy.samples[i].latency_seconds;
+    EXPECT_GT(value, base * 0.8);
+    EXPECT_LT(value, base * 1.25);
+    changed += value != base ? 1 : 0;
+  }
+  EXPECT_GT(changed, 0);
 }
 
 TEST(DatasetTest, SplitRespectsRatiosAndHoldout) {

@@ -161,29 +161,6 @@ TEST(SimulatorTest, Hl100FavorsGemmOverPointwise) {
   EXPECT_LT(mm_ratio, ew_ratio);
 }
 
-TEST(SimulatorTest, NoiseIsDeterministicGivenSeed) {
-  Rng rng_a(77);
-  Rng rng_b(77);
-  Task t = BigMatmul();
-  TensorProgram prog = GenerateProgram(t, GoodGpuSchedule());
-  const DeviceSpec& t4 = DeviceByName("T4");
-  EXPECT_DOUBLE_EQ(SimulateLatency(prog, t4, 0.05, &rng_a),
-                   SimulateLatency(prog, t4, 0.05, &rng_b));
-}
-
-TEST(SimulatorTest, NoiseIsSmallMultiplicative) {
-  Rng rng(78);
-  Task t = BigMatmul();
-  TensorProgram prog = GenerateProgram(t, GoodGpuSchedule());
-  const DeviceSpec& t4 = DeviceByName("T4");
-  double base = SimulateLatencyDeterministic(prog, t4);
-  for (int i = 0; i < 100; ++i) {
-    double noisy = SimulateLatency(prog, t4, 0.03, &rng);
-    EXPECT_GT(noisy, base * 0.8);
-    EXPECT_LT(noisy, base * 1.25);
-  }
-}
-
 TEST(SimulatorTest, LeafTimingComponentsNonNegative) {
   Rng rng(79);
   Task t = BigMatmul();

@@ -76,6 +76,17 @@ in a temp tree and asserts the linter catches it):
                         int8 branch included), AttentionContextRows and the
                         featurizers run in both regions, so both scopes scan
                         them.
+                        Scope: the zero-allocation contract covers the warm
+                        serving forward and the training step, the two
+                        regions above whose callees are listed. Other forks
+                        are checked only in their own chunk body text, not in
+                        the functions they call. BuildDataset's set-up fork
+                        over programs is one: its body is token-free, but
+                        GenerateProgram, which it calls, builds a heap tree
+                        for each program, and ExtractCompactAst allocates the
+                        AST it returns. Those allocations are outside the
+                        contract; the fork runs once per dataset build, not
+                        on a warm path.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
