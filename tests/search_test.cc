@@ -7,10 +7,12 @@
 
 #include "src/core/autotuner.h"
 #include "src/dataset/dataset.h"
+#include "src/dataset/model_zoo.h"
 #include "src/search/cost_model_client.h"
 #include "src/search/sa_search.h"
 #include "src/search/schedule_search.h"
 #include "src/serve/prediction_service.h"
+#include "src/support/fnv_hash.h"
 #include "src/support/parallel_for.h"
 
 namespace cdmpp {
@@ -110,15 +112,83 @@ TEST(SearchTest, RandomSearchAlsoImproves) {
   EXPECT_LE(curve.best_after_round.back(), curve.best_after_round.front());
 }
 
-TEST(SearchTest, DeterministicGivenSeed) {
-  SearchOptions opts;
-  opts.rounds = 5;
-  auto cm = [](const CompactAst& ast, int) {
-    return static_cast<double>(ast.num_nodes);
-  };
-  SearchCurve a = EvolutionarySearch(SearchTask(), DeviceByName("T4"), cm, opts);
-  SearchCurve b = EvolutionarySearch(SearchTask(), DeviceByName("T4"), cm, opts);
-  EXPECT_EQ(a.final_best, b.final_best);
+// Three zoo tasks of different kinds, picked at fixed positions of the zoo's
+// op list: a ResNet conv2d, a BERT elementwise op and a BERT dense.
+std::vector<Task> GoldenTasks() {
+  std::vector<Task> all;
+  for (const NetworkDef& net : BuildModelZoo()) {
+    for (const NetworkOp& op : net.ops) {
+      all.push_back(op.task);
+    }
+  }
+  return {all[0], all[all.size() / 3], all[2 * all.size() / 3]};
+}
+
+// Routes ThreadPool::Global() to a private pool for one scope.
+struct ScopedPool {
+  explicit ScopedPool(int threads) : pool(threads) { ThreadPool::SetGlobalForTesting(&pool); }
+  ~ScopedPool() { ThreadPool::SetGlobalForTesting(nullptr); }
+  ThreadPool pool;
+};
+
+uint64_t MixCurve(uint64_t h, const SearchCurve& c) {
+  h = FnvMix(h, c.best_after_round.size());
+  for (double best : c.best_after_round) {
+    h = FnvMixDouble(h, best);
+  }
+  h = FnvMixDouble(h, c.final_best);
+  h = FnvMix(h, c.best_ast_hash);
+  h = FnvMix(h, c.best_schedule.primitives.size());
+  for (const SchedulePrimitive& p : c.best_schedule.primitives) {
+    h = FnvMix(h, static_cast<uint64_t>(p.kind));
+    h = FnvMix(h, static_cast<uint64_t>(static_cast<int64_t>(p.loop_index)));
+    h = FnvMix(h, static_cast<uint64_t>(static_cast<int64_t>(p.factor)));
+  }
+  h = FnvMix(h, static_cast<uint64_t>(c.total_candidates));
+  h = FnvMix(h, static_cast<uint64_t>(c.total_measurements));
+  return h;
+}
+
+// One FNV-1a over an evolutionary and an annealing search on each golden
+// task: every AST the cost model was asked to score, in query order, and
+// every deterministic field of each curve. The cost model is a heuristic on
+// the AST, so no kernel code runs and one value holds under every kernel ISA.
+uint64_t SearchFingerprint() {
+  uint64_t h = kFnvOffset;
+  FnCostModel recorder([&h](const CompactAst& ast, int device_id) {
+    h = FnvMix(h, ast.Hash());
+    h = FnvMix(h, static_cast<uint64_t>(device_id));
+    double score = 1.0 + 1e-3 * ast.num_nodes;
+    for (const ComputationVector& cv : ast.leaves) {
+      score -= 0.1 * cv[19] + 0.1 * cv[22];
+    }
+    return score;
+  });
+  const DeviceSpec& dev = DeviceByName("T4");
+  SearchOptions evo;
+  evo.rounds = 6;
+  evo.population = 16;
+  evo.measured_per_round = 3;
+  SaOptions sa;
+  sa.sweeps = 8;
+  sa.chains = 8;
+  sa.measured_per_sweep = 2;
+  uint64_t seed = 41;
+  for (const Task& task : GoldenTasks()) {
+    evo.seed = seed++;
+    h = MixCurve(h, EvolutionarySearch(task, dev, &recorder, evo));
+    sa.seed = seed++;
+    h = MixCurve(h, SimulatedAnnealingSearch(task, dev, &recorder, sa));
+  }
+  return h;
+}
+
+TEST(SearchTest, CurvesMatchGoldenFingerprint) {
+  EXPECT_EQ(SearchFingerprint(), 0x60937d627bc4bcb6ull);
+  for (int threads : {1, 2, 4}) {
+    ScopedPool pool(threads);
+    EXPECT_EQ(SearchFingerprint(), 0x60937d627bc4bcb6ull) << threads << " pool threads";
+  }
 }
 
 // ---- Client-seam tests against a trained predictor -------------------------
