@@ -5,18 +5,10 @@
 #include <limits>
 #include <utility>
 
+#include "src/search/population.h"
 #include "src/support/check.h"
 
 namespace cdmpp {
-
-namespace {
-
-double Measure(const Task& task, const ScheduleDesc& sched, const DeviceSpec& device) {
-  TensorProgram prog = GenerateProgram(task, sched);
-  return SimulateLatencyDeterministic(prog, device);
-}
-
-}  // namespace
 
 SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
                                      CostModelClient* client, const SaOptions& opts) {
@@ -30,21 +22,21 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
 
   const size_t chains = static_cast<size_t>(opts.chains);
   std::vector<ScheduleDesc> state(chains);
-  std::vector<CompactAst> state_asts(chains);
+  std::vector<CompactAst> state_asts;
   std::vector<double> state_scores(chains);
 
   // Scratch reused per sweep (proposal ASTs must outlive ScoreBatch — the
   // CostQuery borrow contract).
   std::vector<ScheduleDesc> proposals(chains);
-  std::vector<CompactAst> proposal_asts(chains);
+  std::vector<CompactAst> proposal_asts;
   std::vector<CostQuery> queries;
   std::vector<double> proposal_scores;
 
   // Seed the chains and score them in one batch.
   for (size_t c = 0; c < chains; ++c) {
     state[c] = SampleSchedule(task, &rng);
-    state_asts[c] = ExtractCompactAst(GenerateProgram(task, state[c]));
   }
+  ExtractPopulation(task, state, &state_asts);
   queries.reserve(chains);
   for (size_t c = 0; c < chains; ++c) {
     queries.push_back(CostQuery{&state_asts[c], device.id});
@@ -66,12 +58,13 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
   for (int sweep = 0; sweep < opts.sweeps; ++sweep) {
     const double temp = t0 * std::pow(opts.cooling, sweep);
 
-    // Propose one neighbor per chain (index order) and score the whole
-    // proposal batch at once.
+    // Propose one neighbor per chain (index order) on the search's rng
+    // stream, extract the proposals on the pool and score the whole batch at
+    // once.
     for (size_t c = 0; c < chains; ++c) {
       proposals[c] = MutateSchedule(task, state[c], &rng);
-      proposal_asts[c] = ExtractCompactAst(GenerateProgram(task, proposals[c]));
     }
+    ExtractPopulation(task, proposals, &proposal_asts);
     queries.clear();
     for (size_t c = 0; c < chains; ++c) {
       queries.push_back(CostQuery{&proposal_asts[c], device.id});
@@ -102,7 +95,7 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
     std::sort(ranked.begin(), ranked.end());
     for (int m = 0; m < opts.measured_per_sweep && m < static_cast<int>(chains); ++m) {
       const size_t c = ranked[static_cast<size_t>(m)].second;
-      const double latency = Measure(task, state[c], device);
+      const double latency = MeasureSchedule(task, state[c], device);
       ++curve.total_measurements;
       if (latency < best) {
         best = latency;

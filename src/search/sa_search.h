@@ -5,11 +5,13 @@
 // proposals per sweep is what fills the serving tier's leaf-count buckets),
 // a geometric temperature schedule, and Metropolis acceptance on the cost
 // model's predicted latency. Each sweep mutates every chain once
-// (MutateSchedule neighborhood), scores all proposals in ONE ScoreBatch, and
-// accepts per chain; the top chains by current score are then "measured" on
-// the simulator, which is what the SearchCurve tracks — the same
-// cheap-score/expensive-measure split as EvolutionarySearch, so the two
-// drivers' curves are directly comparable.
+// (MutateSchedule neighborhood) serially on the search's rng stream, lowers
+// and extracts the proposals in one fork over the global pool
+// (ExtractPopulation, population.h; the seed chains go through it too),
+// scores all proposals in ONE ScoreBatch, and accepts per chain; the top
+// chains by current score are then "measured" on the simulator, which is
+// what the SearchCurve tracks — the same cheap-score/expensive-measure split
+// as EvolutionarySearch, so the two drivers' curves are directly comparable.
 //
 // Determinism: same contract as schedule_search.h. Acceptance draws one
 // uniform per chain per sweep UNCONDITIONALLY (even when delta <= 0 would

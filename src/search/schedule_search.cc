@@ -4,18 +4,10 @@
 #include <limits>
 #include <utility>
 
+#include "src/search/population.h"
 #include "src/support/check.h"
 
 namespace cdmpp {
-
-namespace {
-
-double Measure(const Task& task, const ScheduleDesc& sched, const DeviceSpec& device) {
-  TensorProgram prog = GenerateProgram(task, sched);
-  return SimulateLatencyDeterministic(prog, device);
-}
-
-}  // namespace
 
 SearchCurve EvolutionarySearch(const Task& task, const DeviceSpec& device,
                                CostModelClient* client, const SearchOptions& opts) {
@@ -40,14 +32,11 @@ SearchCurve EvolutionarySearch(const Task& task, const DeviceSpec& device,
   std::vector<double> scores;
 
   for (int round = 0; round < opts.rounds; ++round) {
-    // Extract every candidate's AST, then rank the whole population with ONE
-    // ScoreBatch. The score vector is index-ordered by contract, so ranking
-    // below is independent of how the client evaluated it.
-    asts.clear();
-    asts.reserve(population.size());
-    for (const ScheduleDesc& cand : population) {
-      asts.push_back(ExtractCompactAst(GenerateProgram(task, cand)));
-    }
+    // Extract every candidate's AST on the pool, then rank the whole
+    // population with ONE ScoreBatch. The score vector is index-ordered by
+    // contract, so ranking below is independent of how the client evaluated
+    // it.
+    ExtractPopulation(task, population, &asts);
     queries.clear();
     queries.reserve(asts.size());
     for (const CompactAst& ast : asts) {
@@ -67,7 +56,7 @@ SearchCurve EvolutionarySearch(const Task& task, const DeviceSpec& device,
     for (int m = 0; m < opts.measured_per_round && m < static_cast<int>(scored.size()); ++m) {
       const size_t idx = scored[static_cast<size_t>(m)].second;
       const ScheduleDesc& cand = population[idx];
-      double latency = Measure(task, cand, device);
+      const double latency = MeasureSchedule(task, cand, device);
       ++curve.total_measurements;
       if (latency < best) {
         best = latency;

@@ -7,14 +7,19 @@
 // populations are scored in one ScoreBatch call, so a ServeCostModel fills the
 // PredictionService's leaf-count buckets by construction while the
 // DirectCostModel baseline keeps the old one-candidate-at-a-time shape.
+// Before scoring, each round's population is lowered and extracted in one
+// fork over the global pool (ExtractPopulation, population.h); sampling,
+// mutation, ranking, measurement and elite updates stay serial on the
+// search thread.
 //
 // Determinism contract: a SearchCurve is a pure function of
 // (task, device, model state, opts.seed). Candidates are ranked from the
 // index-ordered score vector with (score, index) tiebreaks and the rng stream
 // never depends on score values, so the curve is bitwise identical across
 // CDMPP_NUM_THREADS values, serve-vs-direct clients, and future completion
-// order. (Wall-clock fields — score_seconds — are measurements, not part of
-// the contract.)
+// order. The extraction fork keeps it: iteration i writes only AST i, a pure
+// function of (task, schedule i), and no rng enters the fork. (Wall-clock
+// fields — score_seconds — are measurements, not part of the contract.)
 #ifndef SRC_SEARCH_SCHEDULE_SEARCH_H_
 #define SRC_SEARCH_SCHEDULE_SEARCH_H_
 

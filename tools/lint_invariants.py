@@ -86,7 +86,13 @@ in a temp tree and asserts the linter catches it):
                         for each program, and ExtractCompactAst allocates the
                         AST it returns. Those allocations are outside the
                         contract; the fork runs once per dataset build, not
-                        on a warm path.
+                        on a warm path. The search drivers' fork over each
+                        round's population (ExtractPopulation in
+                        src/search/population.cc) is another: its body only
+                        assigns each slot, but GenerateProgram and
+                        ExtractCompactAst allocate per candidate. The
+                        search runs on the tuning client, ahead of the
+                        scoring call, not inside the serving forward.
 
 Exit status: 0 clean, 1 violations found (printed as path:line: [rule] msg),
 2 self-test failure. Run from anywhere; the repo root is located relative to
