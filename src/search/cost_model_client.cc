@@ -71,6 +71,7 @@ void ServeCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
   std::map<std::pair<uint64_t, uint64_t>, size_t> unique;  // key -> slot index
   std::vector<const CompactAst*> unique_asts;
   std::vector<int> unique_devices;
+  std::vector<uint64_t> unique_hashes;  // unique_asts[j]->Hash(), passed on
   std::vector<size_t> slot_of(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const CostQuery& q = queries[i];
@@ -81,16 +82,18 @@ void ServeCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
     if (inserted) {
       unique_asts.push_back(q.ast);
       unique_devices.push_back(q.device_id);
+      unique_hashes.push_back(key.first);
     }
     slot_of[i] = it->second;
   }
-  // One bulk submission for the whole deduplicated population (one queue
-  // lock, one worker wake-up — see SubmitBorrowedBatch), then collect in
-  // submission order and fan out to duplicates in index order. The futures
-  // may resolve in any order on the worker pool; waiting positionally keeps
-  // the score vector independent of completion order.
+  // One bulk submission for the whole deduplicated population, with the
+  // hashes computed above so the service does not hash each AST again. The
+  // service scores it on this thread (see SubmitBorrowedBatch), so every
+  // future is resolved on return; collecting positionally and fanning out
+  // to duplicates in index order keeps the score vector independent of how
+  // the service batched the population.
   std::vector<std::future<double>> futures =
-      service_->SubmitBorrowedBatch(unique_asts, unique_devices);
+      service_->SubmitBorrowedBatch(unique_asts, unique_devices, unique_hashes);
   std::vector<double> unique_scores(futures.size());
   for (size_t j = 0; j < futures.size(); ++j) {
     unique_scores[j] = futures[j].get();

@@ -16,9 +16,12 @@
 //        │     DirectCostModel               ServeCostModel       FnCostModel
 //        │     (serial, one const            (dedup by AST hash   (arbitrary
 //        │      batched forward of            + device finger-     CostModelFn,
-//        │      size 1 per query —            print, Submit        e.g. the XGB
-//        │      the pre-serving               futures into the     baseline)
-//        │      baseline shape)               PredictionService,
+//        │      size 1 per query —            print, hand the      e.g. the XGB
+//        │      the pre-serving               unique rows and      baseline)
+//        │      baseline shape)               their hashes to
+//        │                                    SubmitBorrowed-
+//        │                                    Batch, which scores
+//        │                                    them on this thread;
 //        │                                    collect in index
 //        ▼                                    order)
 //   stable index-ordered score vector (the determinism contract below)
@@ -120,19 +123,21 @@ class DirectCostModel : public CostModelClient {
   Workspace ws_;
 };
 
-// The serving-backed client: submits every unique candidate of the batch to
-// the PredictionService as a future (async batched scoring — the service's
-// leaf-count buckets fill by construction when a whole population lands at
-// once) and collects results in index order. Batch-local duplicates are
-// deduplicated client-side by (CompactAst::Hash(), DeviceSpec::Fingerprint())
-// before submission; candidates re-visited across batches hit the service's
+// The serving-backed client: hands every unique candidate of the batch to
+// the PredictionService in one SubmitBorrowedBatch call and collects results
+// in index order. Batch-local duplicates are deduplicated client-side by
+// (CompactAst::Hash(), DeviceSpec::Fingerprint()) before submission, and the
+// hashes computed for that go along with the ASTs, so each candidate is
+// hashed once; candidates re-visited across batches hit the service's
 // sharded LRU cache under the same key instead of the forward pass. ASTs go
-// out zero-copy in ONE bulk enqueue (SubmitBorrowedBatch: one queue lock, one
-// worker wake-up, population-sized batches with no batch-window wait);
-// ScoreBatch waits out every future before returning, which is exactly the
-// borrowed-lifetime contract. The default ServeOptions suit it: the bulk
-// enqueue already forms full batches, so a batch window > 0 would only add
-// sleep.
+// out zero-copy, and the service runs the population's cache misses as one
+// batch on the calling thread (coalesced, leaf-count-bucketed, the forward
+// sharded over the global pool): no queue, no worker wake-up, no
+// batch-window wait (ServeOptions::batch_window_ms applies to queued Submit
+// traffic only, so the defaults suit this client), and every future is resolved when the call returns,
+// which is exactly the borrowed-lifetime contract. ScoreBatch therefore
+// takes the service's workers out of the tuning loop; Submit traffic from
+// other clients still goes through them.
 // Thread-compatible: the service is thread-safe, but one ServeCostModel's
 // stats are not; use one client per search driver.
 class ServeCostModel : public CostModelClient {

@@ -60,11 +60,14 @@ PredictionService::~PredictionService() { Shutdown(); }
 
 void PredictionService::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::unique_lock<std::mutex> lock(queue_mu_);
     if (stop_) {
       return;
     }
     stop_ = true;
+    // Borrowed batches that started before stop_ finish on their callers'
+    // threads; no forward may still be running once Shutdown returns.
+    borrowed_done_cv_.wait(lock, [this] { return borrowed_running_ == 0; });
   }
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
@@ -110,8 +113,8 @@ void PredictionService::StatsLoggerLoop() {
   }
 }
 
-bool PredictionService::BuildRequest(const CompactAst& ast, int device_id, bool copy_ast,
-                                     Request* req, std::future<double>* ready) {
+bool PredictionService::BuildRequest(const CompactAst& ast, uint64_t ast_hash, int device_id,
+                                     bool copy_ast, Request* req, std::future<double>* ready) {
   const auto t0 = std::chrono::steady_clock::now();
   // Boundary checks fail this request's future instead of aborting; they
   // replace the checks DeviceById would otherwise make, so valid requests
@@ -126,7 +129,7 @@ bool PredictionService::BuildRequest(const CompactAst& ast, int device_id, bool 
                                                 " is not in the device registry"));
     return false;
   }
-  CacheKey key{ast.Hash(), devices[static_cast<size_t>(device_id)].Fingerprint()};
+  CacheKey key{ast_hash, devices[static_cast<size_t>(device_id)].Fingerprint()};
   // Sampling decision up front so the cache-hit fast path is traceable too.
   // With sampling off (the default) this is one relaxed load and a branch.
   const bool traced = obs::TraceCollector::Global().ShouldSample();
@@ -166,7 +169,7 @@ bool PredictionService::BuildRequest(const CompactAst& ast, int device_id, bool 
 std::future<double> PredictionService::Submit(const CompactAst& ast, int device_id) {
   Request req;
   std::future<double> ready;
-  if (!BuildRequest(ast, device_id, /*copy_ast=*/true, &req, &ready)) {
+  if (!BuildRequest(ast, ast.Hash(), device_id, /*copy_ast=*/true, &req, &ready)) {
     return ready;
   }
   std::future<double> result = req.promise.get_future();
@@ -182,48 +185,59 @@ std::future<double> PredictionService::Submit(const CompactAst& ast, int device_
 }
 
 std::vector<std::future<double>> PredictionService::SubmitBorrowedBatch(
-    const std::vector<const CompactAst*>& asts, const std::vector<int>& device_ids) {
+    const std::vector<const CompactAst*>& asts, const std::vector<int>& device_ids,
+    const std::vector<uint64_t>& ast_hashes) {
   CDMPP_CHECK(asts.size() == device_ids.size());
+  CDMPP_CHECK(ast_hashes.empty() || ast_hashes.size() == asts.size());
   std::vector<std::future<double>> futures;
   futures.reserve(asts.size());
   std::vector<Request> pending;
   pending.reserve(asts.size());
   for (size_t i = 0; i < asts.size(); ++i) {
     CDMPP_CHECK(asts[i] != nullptr);
+    const uint64_t hash = ast_hashes.empty() ? asts[i]->Hash() : ast_hashes[i];
     Request req;
     std::future<double> ready;
-    if (BuildRequest(*asts[i], device_ids[i], /*copy_ast=*/false, &req, &ready)) {
+    if (BuildRequest(*asts[i], hash, device_ids[i], /*copy_ast=*/false, &req, &ready)) {
       futures.push_back(req.promise.get_future());
       pending.push_back(std::move(req));
     } else {
       futures.push_back(std::move(ready));
     }
   }
-  if (!pending.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (stop_) {
-        const std::exception_ptr error =
-            std::make_exception_ptr(std::logic_error("SubmitBorrowedBatch after Shutdown"));
-        for (Request& req : pending) {
-          req.promise.set_exception(error);
-        }
-        return futures;
-      }
-      for (Request& req : pending) {
-        queue_.push_back(std::move(req));
-      }
-    }
-    // One wake-up after the whole population is visible: the first worker to
-    // drain sees every request at once, so the batch forms at population size
-    // without a batch-window wait. (A second worker only helps if the
-    // population exceeds max_batch_size — wake it only then.)
-    if (static_cast<int>(pending.size()) > options_.max_batch_size) {
-      queue_cv_.notify_all();
-    } else {
-      queue_cv_.notify_one();
-    }
+  if (pending.empty()) {
+    return futures;
   }
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stop_) {
+      const std::exception_ptr error =
+          std::make_exception_ptr(std::logic_error("SubmitBorrowedBatch after Shutdown"));
+      for (Request& req : pending) {
+        req.promise.set_exception(error);
+      }
+      return futures;
+    }
+    ++borrowed_running_;
+  }
+  // Leaves the running count on every exit, so Shutdown never waits on a
+  // batch whose forward threw.
+  struct RunningGuard {
+    PredictionService* service;
+    ~RunningGuard() {
+      std::lock_guard<std::mutex> lock(service->queue_mu_);
+      if (--service->borrowed_running_ == 0 && service->stop_) {
+        service->borrowed_done_cv_.notify_all();
+      }
+    }
+  } running{this};
+  // The caller runs its own population: the whole miss set is one batch,
+  // formed already, so handing it to a worker would only add two thread
+  // hops. The forward still shards over the pool.
+  WorkspacePool::Lease ws = WorkspacePool::Global().Acquire();
+  std::vector<double> predictions;
+  ProcessBatch(std::move(pending), std::chrono::steady_clock::now(), /*queued=*/false, ws.get(),
+               &predictions);
   return futures;
 }
 
@@ -278,12 +292,12 @@ void PredictionService::WorkerLoop() {
       }
     }
     const auto drained_at = std::chrono::steady_clock::now();
-    ProcessBatch(std::move(batch), drained_at, ws.get(), &predictions);
+    ProcessBatch(std::move(batch), drained_at, /*queued=*/true, ws.get(), &predictions);
   }
 }
 
 void PredictionService::ProcessBatch(std::vector<Request> requests,
-                                     std::chrono::steady_clock::time_point drained_at,
+                                     std::chrono::steady_clock::time_point ready_at, bool queued,
                                      Workspace* ws, std::vector<double>* predictions) {
   // Trace plumbing: if the sampler picked any request in this batch, bind a
   // batch-level Trace to this thread so the ScopedSpan hooks down the stack
@@ -297,21 +311,23 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
   obs::ScopedTraceBinding trace_binding(traced_any ? &batch_trace : nullptr);
   // forward_done marks the forward/finalize stage boundary for the traces;
   // only traced batches read the clock for it.
-  auto forward_done = drained_at;
+  auto forward_done = ready_at;
 
-  // Emits the per-request trace at fulfill time: queue wait (submit ->
-  // drained_at), then either the batch's recorded spans plus a finalize
-  // segment (computed requests) or the formation time so far (requests a
-  // concurrent worker's cache insert resolved mid-formation).
+  // Emits the per-request trace at fulfill time: submit -> ready_at (queue
+  // wait for a queued request, formation for a borrowed one), then either
+  // the batch's recorded spans plus a finalize segment (computed requests)
+  // or the formation time so far (requests a concurrent cache insert
+  // resolved mid-formation).
   auto emit_trace = [&](const Request& req, bool computed) {
     obs::RequestTrace trace;
     trace.total_ms = MsSince(req.submit_time);
-    trace.AddSegment(obs::Stage::kQueueWait, MsBetween(req.submit_time, drained_at));
+    trace.AddSegment(queued ? obs::Stage::kQueueWait : obs::Stage::kBatchFormation,
+                     MsBetween(req.submit_time, ready_at));
     if (computed) {
       trace.AppendSpans(batch_trace);
       trace.AddSegment(obs::Stage::kFinalize, MsSince(forward_done));
     } else {
-      trace.AddSegment(obs::Stage::kBatchFormation, MsBetween(drained_at,
+      trace.AddSegment(obs::Stage::kBatchFormation, MsBetween(ready_at,
                                                               std::chrono::steady_clock::now()));
     }
     obs::TraceCollector::Global().Emit(std::move(trace));
@@ -346,8 +362,8 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
       it->second.push_back(i);
     }
 
-    // Re-check the cache: another worker may have computed a key while these
-    // requests sat in the queue.
+    // Re-check the cache: another thread may have computed a key since these
+    // requests were built.
     for (size_t pos : unique_order) {
       double cached = 0.0;
       if (options_.enable_cache && cache_.Lookup(requests[pos].key, &cached)) {
@@ -369,7 +385,7 @@ void PredictionService::ProcessBatch(std::vector<Request> requests,
     }
     // Rare slow path: create heads (int8-packed on a prepared predictor)
     // for leaf counts training never saw, under the exclusive lock.
-    // EnsureHead re-checks, so racing workers are safe (and duplicate
+    // EnsureHead re-checks, so racing threads are safe (and duplicate
     // entries here are harmless).
     std::vector<int> missing_heads;
     {

@@ -14,15 +14,23 @@
 //                          batching.h), and runs ONE cache-free const
 //                          forward pass per bucket (PredictBatched).
 //
+//   SubmitBorrowedBatch(population) ──▶ prediction cache ──hit──▶ resolved
+//                                │ misses
+//                                ▼
+//                          the same coalescing and bucketed forward, run on
+//                          the CALLING thread: no queue, no worker wake-up,
+//                          and every returned future is already resolved.
+//
 // Threading model: workers never take an exclusive lock on the hot path. The
 // model is shared read-only through CdmppPredictor::PredictBatched (const,
 // cache-free — see src/core/predictor.h); an exclusive lock is taken only on
 // the rare first sighting of a new leaf count, to create its head. Two
 // parallelism levels compose: worker-level batching (one arena per worker,
-// leased from WorkspacePool::Global() for the worker's lifetime) and
-// intra-request parallelism inside each forward (each wave of a drain runs
-// as one region of row shards on ThreadPool::Global(); the first shard uses
-// the worker's arena, the others lease arenas from the same pool — checkout
+// leased from WorkspacePool::Global() for the worker's lifetime; a borrowed
+// batch's calling thread leases one for the call) and intra-request
+// parallelism inside each forward (each wave of a drain runs as one region
+// of row shards on ThreadPool::Global(); the first shard uses the worker's
+// or caller's arena, the others lease arenas from the same pool — checkout
 // grows on demand and never blocks, so nested leases cannot deadlock).
 // Results are bitwise identical for every CDMPP_NUM_THREADS value; see
 // README "Threading model" for when intra-request threads help (batches
@@ -32,6 +40,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <mutex>
@@ -56,8 +65,11 @@ struct ServeOptions {
   // from the CDMPP_PRECISION environment override (fp32 when unset or
   // unrecognized).
   Precision precision = DefaultPrecision();
-  // Upper bound on requests drained per worker wake-up; buckets inside a
-  // drain are additionally chunked to the predictor's config batch size.
+  // Upper bound on the Submit requests one worker drains per wake-up. A
+  // borrowed batch (SubmitBorrowedBatch) is not queued and not bounded by
+  // it: its calling thread runs the whole population as one batch. Either
+  // way the forward drains its buckets in waves of the predictor's config
+  // batch size.
   int max_batch_size = 64;
   // 0 (the default) dispatches on arrival: a woken worker drains whatever has
   // queued and runs it at once, so under load batches fill from the requests
@@ -102,32 +114,42 @@ class PredictionService {
   std::future<double> Submit(const CompactAst& ast, int device_id);
 
   // Bulk zero-copy variant of Submit for population-scoring clients
-  // (src/search/cost_model_client.h). Two differences from a Submit loop,
-  // both load-bearing for tuning throughput:
+  // (src/search/cost_model_client.h). It differs from a Submit loop in three
+  // ways, all load-bearing for tuning throughput:
   //   * borrowed ASTs — the service keeps pointers instead of copying node
   //     arrays, so submitting a whole candidate population costs no copies.
-  //     Lifetime contract: the caller must keep every AST alive and
-  //     unmodified until its future resolves (a client that waits out all
-  //     futures before touching its population — as
-  //     CostModelClient::ScoreBatch does — satisfies this by construction).
-  //   * one queue lock and ONE worker wake-up for the whole population, after
-  //     every request is enqueued — the draining worker sees the full batch
-  //     immediately, so population-sized forwards form with no batch-window
-  //     wait and no per-request notify/wake churn.
+  //     The caller must keep every AST alive and unmodified until the call
+  //     returns.
+  //   * caller-runs — the population never enters the request queue. The
+  //     calling thread leases an arena from WorkspacePool::Global() and runs
+  //     the cache misses as ONE batch (coalescing, leaf-count buckets, the
+  //     forward sharded over ThreadPool::Global() as usual) before it
+  //     returns, so every returned future is already resolved: no worker
+  //     wake-up, no thread hop, and a traced request records zero queue
+  //     wait (the time spent forming the population counts as batch
+  //     formation). Callable from inside a ParallelFor chunk; the forward
+  //     then runs inline, with the same bits.
+  //   * precomputed hashes — `ast_hashes`, when not empty, must have one
+  //     entry per AST with ast_hashes[i] == asts[i]->Hash(). The hash is the
+  //     AST half of the prediction-cache key shared with Submit, so a wrong
+  //     hash serves or caches another program's latency; it is not
+  //     re-checked. Empty (the default) hashes each AST here.
   // Same semantics per request otherwise: cache fast path, coalescing,
-  // leaf-count-bucketed batching, and Submit's error split (an invalid
-  // request fails only its own future). futures[i] corresponds to (asts[i],
-  // device_ids[i]).
+  // stats and traces, and Submit's error split (an invalid request fails
+  // only its own future; after Shutdown a request that misses the cache
+  // fails with std::logic_error). futures[i] corresponds to (asts[i],
+  // device_ids[i]). Shutdown waits for borrowed batches already running.
   std::vector<std::future<double>> SubmitBorrowedBatch(
-      const std::vector<const CompactAst*>& asts, const std::vector<int>& device_ids);
+      const std::vector<const CompactAst*>& asts, const std::vector<int>& device_ids,
+      const std::vector<uint64_t>& ast_hashes = {});
 
   // Blocking convenience wrapper around Submit. Must not be called from a
   // worker thread (it waits on the worker pool).
   double Predict(const CompactAst& ast, int device_id);
 
-  // Drains outstanding requests, then stops the workers. Idempotent; also
-  // run by the destructor. Requests submitted afterwards that miss the cache
-  // fail with std::logic_error.
+  // Drains outstanding requests and waits out running borrowed batches,
+  // then stops the workers. Idempotent; also run by the destructor. Requests
+  // submitted afterwards that miss the cache fail with std::logic_error.
   void Shutdown();
 
   // Re-derives the predictor's int8 weight packs (every packed Linear,
@@ -160,8 +182,9 @@ class PredictionService {
  private:
   struct Request {
     // Submit stores an owned copy (the request may outlive the caller's
-    // object); SubmitBorrowed stores only the pointer under the caller's
-    // keep-alive contract. ast() picks whichever this request carries.
+    // object); SubmitBorrowedBatch stores only the pointer under the
+    // caller's keep-alive contract. ast() picks whichever this request
+    // carries.
     CompactAst owned_ast;
     const CompactAst* borrowed_ast = nullptr;
     const CompactAst& ast() const { return borrowed_ast ? *borrowed_ast : owned_ast; }
@@ -176,24 +199,26 @@ class PredictionService {
 
   // Builds one request (or resolves it straight from the cache, or fails it as
   // invalid, returning an already-satisfied future in *ready). Shared by
-  // Submit and SubmitBorrowedBatch; `copy_ast` selects owned vs borrowed AST
-  // storage. Returns true if the request must be enqueued (written to *req).
-  bool BuildRequest(const CompactAst& ast, int device_id, bool copy_ast, Request* req,
-                    std::future<double>* ready);
+  // Submit and SubmitBorrowedBatch; `ast_hash` is ast.Hash(), `copy_ast`
+  // selects owned vs borrowed AST storage. Returns true if the request must
+  // be computed (written to *req).
+  bool BuildRequest(const CompactAst& ast, uint64_t ast_hash, int device_id, bool copy_ast,
+                    Request* req, std::future<double>* ready);
   void WorkerLoop();
   // Coalesces duplicates, re-checks the cache, runs the batched forward for
-  // the remaining unique rows, and fulfills every promise. `ws` and
-  // `predictions` are the calling worker's private arena and reusable output
-  // buffer: after warm-up the forward pass itself (PredictBatched) allocates
-  // nothing. Request bookkeeping — queue entries, promises, and this
-  // method's coalescing map/index vectors — still heap-allocates per batch;
-  // pooling those per worker is a ROADMAP follow-on.
-  // `drained_at` is the instant the worker popped the batch off the queue —
-  // the boundary between each request's queue-wait and batch-formation trace
-  // stages.
-  void ProcessBatch(std::vector<Request> requests,
-                    std::chrono::steady_clock::time_point drained_at, Workspace* ws,
-                    std::vector<double>* predictions);
+  // the remaining unique rows, and fulfills every promise. Runs on a worker
+  // (Submit traffic) or on a SubmitBorrowedBatch caller. `ws` and
+  // `predictions` are that thread's arena and output buffer: after warm-up
+  // the forward pass itself (PredictBatched) allocates nothing. Request
+  // bookkeeping — queue entries, promises, and this method's coalescing
+  // map/index vectors — still heap-allocates per batch; pooling those is a
+  // ROADMAP follow-on.
+  // `ready_at` is the instant the batch was complete: drained off the queue
+  // by a worker (`queued`), or built by a borrowed batch's caller. It ends
+  // each request's queue-wait trace stage, or, for an unqueued request, the
+  // batch-formation time spent building the rest of the population.
+  void ProcessBatch(std::vector<Request> requests, std::chrono::steady_clock::time_point ready_at,
+                    bool queued, Workspace* ws, std::vector<double>* predictions);
   void StatsLoggerLoop();
 
   CdmppPredictor* predictor_;
@@ -217,6 +242,15 @@ class PredictionService {
   std::condition_variable logger_cv_;
   bool logger_stop_ = false;
   std::thread logger_;
+
+  // Borrowed batches running on their callers' threads; Shutdown waits on
+  // borrowed_done_cv_ until none is left. Guarded by queue_mu_, but declared
+  // last so the members the Submit and worker hot paths touch keep their
+  // cache-line layout: declared after stop_, they shifted model_mu_, and
+  // serve-zipf's p99 read 3-7% above the old layout's in three 10-pair
+  // sessions on a 4-vCPU AVX2 host (level with it once moved here).
+  int borrowed_running_ = 0;
+  std::condition_variable borrowed_done_cv_;
 };
 
 }  // namespace cdmpp

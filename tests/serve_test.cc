@@ -387,6 +387,138 @@ TEST(ServeTest, InvalidRequestsFailTheirFutures) {
   }
 }
 
+// Distinct workload ASTs (by Hash, the cache key's AST half), in order.
+std::vector<const CompactAst*> DistinctAsts(const ServeWorld& w, size_t count) {
+  std::vector<const CompactAst*> asts;
+  std::set<uint64_t> seen;
+  for (const CompactAst& ast : w.workload) {
+    if (asts.size() < count && seen.insert(ast.Hash()).second) {
+      asts.push_back(&ast);
+    }
+  }
+  return asts;
+}
+
+// A borrowed batch runs on the calling thread: every future it returns is
+// already resolved, whether the request was computed, coalesced, answered by
+// the cache or rejected. Precomputed hashes key the same cache entries that
+// Submit's own hashing finds.
+TEST(ServeTest, BorrowedBatchReturnsResolvedFutures) {
+  ServeWorld& w = World();
+  const int num_devices = static_cast<int>(DeviceRegistry().size());
+  std::vector<const CompactAst*> asts = DistinctAsts(w, 12);
+  ASSERT_EQ(asts.size(), 12u);
+  asts.push_back(asts[0]);  // a duplicate, coalesced
+  std::vector<int> devices(asts.size(), 0);
+  devices[5] = num_devices;  // invalid, fails alone
+  std::vector<uint64_t> hashes;
+  for (const CompactAst* ast : asts) {
+    hashes.push_back(ast->Hash());
+  }
+
+  ServeOptions opts;
+  opts.num_workers = 1;
+  opts.precision = Precision::kFp32;  // expectations come from PredictAst
+  PredictionService service(w.predictor.get(), opts);
+  auto all_ready = [](const std::vector<std::future<double>>& futures) {
+    for (const std::future<double>& f : futures) {
+      if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::vector<std::future<double>> first = service.SubmitBorrowedBatch(asts, devices, hashes);
+  ASSERT_EQ(first.size(), asts.size());
+  EXPECT_TRUE(all_ready(first));
+  // The same population again: every valid request is now a cache hit.
+  std::vector<std::future<double>> second = service.SubmitBorrowedBatch(asts, devices);
+  EXPECT_TRUE(all_ready(second));
+  for (size_t i = 0; i < asts.size(); ++i) {
+    if (i == 5) {
+      EXPECT_THROW(first[i].get(), std::invalid_argument);
+      EXPECT_THROW(second[i].get(), std::invalid_argument);
+      continue;
+    }
+    const double expected = w.predictor->PredictAst(*asts[i], 0);
+    EXPECT_EQ(first[i].get(), expected) << "request " << i;
+    EXPECT_EQ(second[i].get(), expected) << "request " << i;
+  }
+  ServerStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.requests, 2u * (asts.size() - 1));
+  EXPECT_EQ(stats.coalesced, 1u);
+  EXPECT_EQ(stats.batched_rows, asts.size() - 2);
+  EXPECT_EQ(stats.cache_hits, asts.size() - 1);
+  // Submit hashes the AST itself and finds the entry the precomputed hash
+  // keyed.
+  EXPECT_EQ(service.Predict(*asts[1], 0), w.predictor->PredictAst(*asts[1], 0));
+  EXPECT_EQ(service.Stats().cache_hits, asts.size());
+}
+
+// max_batch_size bounds worker drains only: a borrowed population three
+// times that size is one batch on the caller, so every duplicate coalesces
+// into its key's row and the counts are exact.
+TEST(ServeTest, BorrowedPopulationLargerThanMaxBatchSizeIsOneBatch) {
+  ServeWorld& w = World();
+  ServeOptions opts;
+  opts.num_workers = 2;
+  opts.max_batch_size = 16;
+  opts.precision = Precision::kFp32;  // expectations come from PredictAst
+  const size_t population = 3 * static_cast<size_t>(opts.max_batch_size);
+  const size_t distinct = population - 12;
+  std::vector<const CompactAst*> asts = DistinctAsts(w, distinct);
+  ASSERT_EQ(asts.size(), distinct);
+  for (size_t d = 0; d < 12; ++d) {
+    asts.push_back(asts[(d * 7) % 4]);  // 12 duplicates of the first four keys
+  }
+  PredictionService service(w.predictor.get(), opts);
+  std::vector<std::future<double>> futures =
+      service.SubmitBorrowedBatch(asts, std::vector<int>(asts.size(), 0));
+  ASSERT_EQ(futures.size(), population);
+  for (size_t i = 0; i < population; ++i) {
+    EXPECT_EQ(futures[i].get(), w.predictor->PredictAst(*asts[i], 0)) << "request " << i;
+  }
+  ServerStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.requests, population);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.coalesced, population - distinct);
+  EXPECT_EQ(stats.batched_rows, distinct);
+}
+
+// A borrowed batch called from inside ParallelFor chunks (several at once
+// on a multi-thread pool) runs its forward inline there, with the same bits.
+TEST(ServeTest, BorrowedBatchInsideParallelForChunkMatches) {
+  ServeWorld& w = World();
+  const std::vector<const CompactAst*> asts = DistinctAsts(w, 24);
+  ASSERT_EQ(asts.size(), 24u);
+  std::vector<double> expected;
+  for (const CompactAst* ast : asts) {
+    expected.push_back(w.predictor->PredictAst(*ast, 0));
+  }
+  ServeOptions opts;
+  opts.num_workers = 1;
+  opts.precision = Precision::kFp32;  // expectations come from PredictAst
+  opts.enable_cache = false;          // every chunk runs its own forward
+  PredictionService service(w.predictor.get(), opts);
+
+  constexpr int64_t kChunks = 4;
+  std::vector<std::vector<double>> served(kChunks, std::vector<double>(asts.size(), 0.0));
+  ParallelFor(0, kChunks, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t c = begin; c < end; ++c) {
+      std::vector<std::future<double>> futures =
+          service.SubmitBorrowedBatch(asts, std::vector<int>(asts.size(), 0));
+      for (size_t i = 0; i < futures.size(); ++i) {
+        served[static_cast<size_t>(c)][i] = futures[i].get();
+      }
+    }
+  });
+  for (int64_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(served[static_cast<size_t>(c)], expected) << "chunk " << c;
+  }
+  EXPECT_EQ(service.Stats().batched_rows, static_cast<uint64_t>(kChunks) * asts.size());
+}
+
 TEST(ServeTest, BatchingDeliversHigherQpsThanBatchSizeOne) {
   ScopedTimingPool timing_pool;
   ServeWorld& w = World();

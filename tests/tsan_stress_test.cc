@@ -267,6 +267,110 @@ TEST(TsanStressTest, ConcurrentSubmitRecalibrateStatsTraceAndPoolChurn) {
   }
 }
 
+// Borrowed batches run their forwards on the calling client threads, not on
+// the service's workers, so the shared model lock, head lookups, arena
+// leases and cache inserts also race between clients. Two borrowed-batch
+// clients (duplicate-heavy populations), two Submit clients and a
+// recalibration thread run at once against an int8 service; every served
+// value must equal the direct int8 forward bitwise, and every borrowed
+// future must be resolved when its call returns.
+TEST(TsanStressTest, ConcurrentBorrowedBatchesSubmitAndInt8Recalibrate) {
+  StressWorld& w = World();
+  ScopedGlobalPool pool(3);
+  ScopedTraceSampling trace(2);
+
+  // Int8 expectations whatever CDMPP_PRECISION says: the packs are a
+  // deterministic function of the fp32 parameters, so the service's own
+  // packing and every Recalibrate() reproduce these bits.
+  w.predictor->PrepareQuantizedInference();
+  std::vector<double> expected;
+  for (const CompactAst& ast : w.workload) {
+    AstBatchView one;
+    one.asts.push_back(&ast);
+    one.device_ids.push_back(0);
+    expected.push_back(w.predictor->PredictBatchedQuantized(one, nullptr, Precision::kInt8)[0]);
+  }
+
+  ServeOptions opts;
+  opts.num_workers = 2;
+  opts.precision = Precision::kInt8;
+  opts.cache_capacity = 64;  // small enough that churn forces LRU evictions
+  opts.cache_shards = 4;
+  PredictionService service(w.predictor.get(), opts);
+
+  constexpr int kBorrowers = 2;
+  constexpr int kSubmitters = 2;
+  constexpr int kRounds = 40;
+  constexpr size_t kPopulation = 24;
+  std::atomic<bool> done{false};
+  std::atomic<int> value_mismatches{0};
+  std::atomic<int> unresolved{0};
+  // Skewed index: low indices repeat often (coalescing + cache hits), the
+  // tail keeps evicting entries from the small cache.
+  auto pick = [&w](Rng* rng) {
+    return static_cast<size_t>(rng->Uniform(0.0, 1.0) * rng->Uniform(0.0, 1.0) *
+                               static_cast<double>(w.workload.size())) %
+           w.workload.size();
+  };
+
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kBorrowers; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(200 + t);
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<size_t> idx;
+        std::vector<const CompactAst*> asts;
+        for (size_t i = 0; i < kPopulation; ++i) {
+          idx.push_back(pick(&rng));
+          asts.push_back(&w.workload[idx.back()]);
+        }
+        std::vector<std::future<double>> futures =
+            service.SubmitBorrowedBatch(asts, std::vector<int>(asts.size(), 0));
+        for (size_t i = 0; i < futures.size(); ++i) {
+          if (futures[i].wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+            unresolved.fetch_add(1);
+          }
+          if (futures[i].get() != expected[idx[i]]) {
+            value_mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (int t = 0; t < kSubmitters; ++t) {
+    clients.emplace_back([&, t] {
+      Rng rng(300 + t);
+      std::vector<std::pair<size_t, std::future<double>>> pending;
+      for (int i = 0; i < kRounds * 8; ++i) {
+        const size_t j = pick(&rng);
+        pending.emplace_back(j, service.Submit(w.workload[j], 0));
+      }
+      for (auto& [j, fut] : pending) {
+        if (fut.get() != expected[j]) {
+          value_mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread recalibrator([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      service.Recalibrate();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  for (std::thread& c : clients) {
+    c.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  recalibrator.join();
+
+  EXPECT_EQ(value_mismatches.load(), 0)
+      << "a served prediction deviated bitwise from the direct int8 forward";
+  EXPECT_EQ(unresolved.load(), 0) << "a borrowed future was unresolved on return";
+  EXPECT_LE(service.cache().size(), opts.cache_capacity);
+}
+
 // The stealing scheduler under maximal interference: several concurrent
 // top-level ParallelFor callers (mixed grains, one of them repeatedly
 // throwing, every one running a nested ParallelForWithScratch inside its

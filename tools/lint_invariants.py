@@ -316,11 +316,14 @@ def chunk_bodies_at(text, call_match, lambdas):
     if call_end == -1:
         return []
     args = text[call_match.end():call_end - 1]
-    # Skip the primitive's own definition/declaration (parameter lists).
-    if re.search(r'\bint64_t\s+begin\b|&&\s*fn\b|&&\s*panel\b', args):
+    lb = args.find('[')
+    # Skip the primitive's own definition/declaration (parameter lists). Only
+    # the text before an inline lambda is a candidate parameter list: a chunk
+    # lambda whose own parameters read `int64_t begin` is a call site.
+    head = args if lb == -1 else args[:lb]
+    if re.search(r'\bint64_t\s+begin\b|&&\s*fn\b|&&\s*panel\b', head):
         return []
     bodies = []
-    lb = args.find('[')
     if lb != -1:
         # Inline lambda: brace-matched body after its parameter list.
         abs_lb = call_match.end() + lb
@@ -575,6 +578,14 @@ SEEDED_VIOLATIONS = {
          "void Bar(std::vector<float>* v) {\n"
          "  ParallelFor(0, 8, 1, [&](int64_t b, int64_t e) {\n"
          "    for (int64_t i = b; i < e; ++i) v->push_back(0.0f);\n"
+         "  });\n"
+         "}\n"),
+        # A chunk lambda whose parameters carry the primitive's own names
+        # (`int64_t begin`): still a call site, so its body is scanned.
+        ("src/dataset/bad_begin.cc",
+         "void Fill(std::vector<std::vector<int>>* rows) {\n"
+         "  ParallelFor(0, 8, 1, [&](int64_t begin, int64_t end) {\n"
+         "    for (int64_t i = begin; i < end; ++i) (*rows)[i].reserve(4);\n"
          "  });\n"
          "}\n"),
         # The widened scope, leg 1: an allocation smuggled into the stealing
