@@ -18,7 +18,7 @@
 // dispatch-eligible shapes, or when the int8 kernels fall behind the 1.5x
 // throughput target over the fp32 AVX2 kernels — overall and on the
 // encoder-shape subset specifically (the GEMMs CDMPP_PRECISION=int8 now
-// serves quantized, reported as "encoder_int8_series" in the JSON). Gates
+// serves quantized, the shapes marked "encoder" in the JSON). Gates
 // whose prerequisite ISA is unavailable on the host are SKIPped (printed as
 // such), not failed, so scalar-only hosts and the forced-scalar CI leg stay
 // green.
@@ -34,6 +34,7 @@
 #include "src/nn/kernels.h"
 #include "src/nn/quantize.h"
 #include "src/support/cpu_features.h"
+#include "src/support/json_writer.h"
 #include "src/support/parallel_for.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
   // input proj 38->64, attention proj 64->64, FFN 64->128 and 128->64. All
   // but the input projection are encoder weight GEMMs — the shapes the
   // CDMPP_PRECISION=int8 tier now serves quantized — so they are tagged and
-  // additionally aggregated as the encoder fp32-vs-int8 series.
+  // additionally aggregated into the encoder-shape int8 geomean.
   const std::vector<std::pair<int, int>> kn = {{38, 64}, {64, 64}, {64, 128}, {128, 64}};
   const auto is_encoder_shape = [](int k, int n) { return !(k == 38 && n == 64); };
 
@@ -288,80 +289,66 @@ int main(int argc, char** argv) {
   std::printf("Geomean int8 speedup on encoder shapes (fp32 %s baseline): %.2fx at batch %d\n",
               has_avx2 ? "avx2" : "scalar", gmean_int8_encoder, largest);
 
-  // Machine-readable trajectory record.
-  const char* json_path = "BENCH_gemm.json";
-  if (FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"gemm\",\n  \"threads\": %d,\n  \"smoke\": %s,\n"
-                 "  \"cpu_model\": \"%s\",\n  \"isa_dispatched\": \"%s\",\n"
-                 "  \"avx2_supported\": %s,\n",
-                 ThreadPool::Global().num_threads(), smoke ? "true" : "false",
-                 CpuModel().c_str(), KernelIsaName(dispatched), has_avx2 ? "true" : "false");
-    // "gflops_kernel" / "speedup" / "geomean_speedup_largest_batch" keep the
-    // pre-dispatch schema alive for cross-PR trajectory diffs: they are the
-    // numbers for whatever ISA the kernel layer dispatches to by default,
-    // exactly what "the kernel layer" meant before the ISA split.
-    const auto dispatched_gflops = [&](const ShapeResult& r) {
-      return dispatched == KernelIsa::kAvx2 ? r.gflops_avx2 : r.gflops_scalar;
-    };
-    std::fprintf(f, "  \"shapes\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const ShapeResult& r = results[i];
-      const double gops_int8 =
-          dispatched == KernelIsa::kAvx2 ? r.gops_int8_avx2 : r.gops_int8_scalar;
-      std::fprintf(f,
-                   "    {\"batch\": %d, \"m\": %d, \"k\": %d, \"n\": %d, "
-                   "\"encoder\": %s, "
-                   "\"gflops_naive\": %.4f, \"gflops_scalar\": %.4f, \"gflops_avx2\": %.4f, "
-                   "\"gops_int8_scalar\": %.4f, \"gops_int8_avx2\": %.4f, "
-                   "\"gops_int8\": %.4f, "
-                   "\"gflops_kernel\": %.4f, \"speedup\": %.4f, "
-                   "\"speedup_scalar_vs_naive\": %.4f, \"speedup_avx2_vs_scalar\": %.4f, "
-                   "\"speedup_int8_vs_fp32\": %.4f}%s\n",
-                   r.batch, r.m, r.k, r.n, r.encoder ? "true" : "false",
-                   r.gflops_naive, r.gflops_scalar, r.gflops_avx2,
-                   r.gops_int8_scalar, r.gops_int8_avx2, gops_int8,
-                   dispatched_gflops(r), dispatched_gflops(r) / r.gflops_naive,
-                   r.speedup_scalar, r.speedup_avx2, r.speedup_int8,
-                   i + 1 < results.size() ? "," : "");
-    }
-    // Encoder fp32-vs-int8 series at serving row counts: the shapes the int8
-    // encoder tier runs quantized, one row per (batch, shape).
-    std::fprintf(f, "  ],\n  \"encoder_int8_series\": [\n");
-    {
-      std::vector<const ShapeResult*> enc;
-      for (const ShapeResult& r : results) {
-        if (r.encoder) {
-          enc.push_back(&r);
-        }
-      }
-      for (size_t i = 0; i < enc.size(); ++i) {
-        const ShapeResult& r = *enc[i];
-        const double gops_int8 =
-            dispatched == KernelIsa::kAvx2 ? r.gops_int8_avx2 : r.gops_int8_scalar;
-        std::fprintf(f,
-                     "    {\"batch\": %d, \"m\": %d, \"k\": %d, \"n\": %d, "
-                     "\"gflops_fp32\": %.4f, \"gops_int8\": %.4f, "
-                     "\"speedup_int8_vs_fp32\": %.4f}%s\n",
-                     r.batch, r.m, r.k, r.n, dispatched_gflops(r), gops_int8, r.speedup_int8,
-                     i + 1 < enc.size() ? "," : "");
-      }
-    }
-    const double gmean_dispatched = GeomeanLargestBatch(
-        results, largest,
-        [&](const ShapeResult& r) { return dispatched_gflops(r) / r.gflops_naive; });
-    std::fprintf(f,
-                 "  ],\n  \"geomean_speedup_largest_batch\": %.4f,\n"
-                 "  \"geomean_scalar_speedup_largest_batch\": %.4f,\n"
-                 "  \"geomean_avx2_speedup_largest_batch\": %.4f,\n"
-                 "  \"geomean_int8_speedup_largest_batch\": %.4f,\n"
-                 "  \"geomean_int8_encoder_speedup_largest_batch\": %.4f\n}\n",
-                 gmean_dispatched, gmean_scalar, gmean_avx2, gmean_int8, gmean_int8_encoder);
-    std::fclose(f);
-    std::printf("Wrote %s\n", json_path);
-  } else {
-    std::fprintf(stderr, "warning: could not write %s\n", json_path);
+  // Machine-readable trajectory record. "gflops_kernel" / "speedup" /
+  // "geomean_speedup_largest_batch" keep the pre-dispatch schema alive for
+  // cross-PR trajectory diffs: they are the numbers for whatever ISA the
+  // kernel layer dispatches to by default, exactly what "the kernel layer"
+  // meant before the ISA split.
+  const auto dispatched_gflops = [&](const ShapeResult& r) {
+    return dispatched == KernelIsa::kAvx2 ? r.gflops_avx2 : r.gflops_scalar;
+  };
+  JsonWriter json;
+  const auto number = [&json](const char* key, double value) {
+    json.Key(key);
+    json.Double(value);
+  };
+  json.BeginObject();
+  json.Key("bench");
+  json.String("gemm");
+  number("threads", ThreadPool::Global().num_threads());
+  json.Key("smoke");
+  json.Bool(smoke);
+  json.Key("cpu_model");
+  json.String(CpuModel());
+  json.Key("isa_dispatched");
+  json.String(KernelIsaName(dispatched));
+  json.Key("avx2_supported");
+  json.Bool(has_avx2);
+  json.Key("shapes");
+  json.BeginArray();
+  for (const ShapeResult& r : results) {
+    json.BeginObject();
+    number("batch", r.batch);
+    number("m", r.m);
+    number("k", r.k);
+    number("n", r.n);
+    json.Key("encoder");
+    json.Bool(r.encoder);
+    number("gflops_naive", r.gflops_naive);
+    number("gflops_scalar", r.gflops_scalar);
+    number("gflops_avx2", r.gflops_avx2);
+    number("gops_int8_scalar", r.gops_int8_scalar);
+    number("gops_int8_avx2", r.gops_int8_avx2);
+    number("gops_int8", dispatched == KernelIsa::kAvx2 ? r.gops_int8_avx2 : r.gops_int8_scalar);
+    number("gflops_kernel", dispatched_gflops(r));
+    number("speedup", dispatched_gflops(r) / r.gflops_naive);
+    number("speedup_scalar_vs_naive", r.speedup_scalar);
+    number("speedup_avx2_vs_scalar", r.speedup_avx2);
+    number("speedup_int8_vs_fp32", r.speedup_int8);
+    json.EndObject();
   }
+  json.EndArray();
+  number("geomean_speedup_largest_batch",
+         GeomeanLargestBatch(results, largest, [&](const ShapeResult& r) {
+           return dispatched_gflops(r) / r.gflops_naive;
+         }));
+  number("geomean_scalar_speedup_largest_batch", gmean_scalar);
+  number("geomean_avx2_speedup_largest_batch", gmean_avx2);
+  number("geomean_int8_speedup_largest_batch", gmean_int8);
+  number("geomean_int8_encoder_speedup_largest_batch", gmean_int8_encoder);
+  json.EndObject();
+  json.WriteFile("BENCH_gemm.json");
+  std::printf("Wrote BENCH_gemm.json\n");
 
   // Regression gates for CI: the kernel layer falling behind the naive seed
   // loop, the AVX2 microkernels falling behind the scalar kernels, or the

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/gate.h"
 #include "src/baselines/xgb_model.h"
 #include "src/core/autotuner.h"
 #include "src/dataset/model_zoo.h"
@@ -81,7 +82,7 @@ RunTotals RunDirect(CdmppPredictor* predictor, const std::vector<const Task*>& t
 
 ServeOptions TuningServeOptions() {
   ServeOptions opts;
-  opts.num_workers = 2;
+  opts.num_workers = 0;  // ServeCostModel scores on the calling thread
   opts.max_batch_size = 64;
   opts.enable_cache = true;
   return opts;
@@ -240,48 +241,28 @@ int main(int argc, char** argv) {
   // JSON record the cold numbers and every hit rate alongside.
   const int kPairs = 3;
   PredictionService tuning_service(&predictor, TuningServeOptions());
-  RunTotals evo_direct, evo_serve;  // kept from the first (cache-cold) pair
-  double best_evo_ratio = 0.0;
-  struct PairRecord {
-    double direct_cps = 0.0;
-    double serve_cps = 0.0;
-    double serve_hit_rate = 0.0;
-  };
-  std::vector<PairRecord> evo_pairs;
+  const PairRuns<RunTotals> evo_runs = RunInterleavedPairs(
+      kPairs, [&] { return RunDirect(&predictor, tasks, t4, evolutionary); },
+      [&] { return RunServe(&tuning_service, tasks, t4, evolutionary); }, FirstRun::kBase,
+      [](const RunTotals& totals) { return totals.candidates_per_sec(); });
+  // Gate (b), best-schedule quality parity, checked on EVERY pair: the direct
+  // and serve curves must be bitwise identical whether the serve side
+  // computed each score or answered it from cache.
   bool evo_parity_ok = true;
   for (int p = 0; p < kPairs; ++p) {
-    RunTotals d, s;
-    if (p % 2 == 0) {
-      d = RunDirect(&predictor, tasks, t4, evolutionary);
-      s = RunServe(&tuning_service, tasks, t4, evolutionary);
-    } else {
-      s = RunServe(&tuning_service, tasks, t4, evolutionary);
-      d = RunDirect(&predictor, tasks, t4, evolutionary);
-    }
-    if (d.candidates_per_sec() > 0.0) {
-      best_evo_ratio = std::max(best_evo_ratio, s.candidates_per_sec() / d.candidates_per_sec());
-    }
-    evo_pairs.push_back({d.candidates_per_sec(), s.candidates_per_sec(), s.cache_hit_rate});
-    // Gate (b), best-schedule quality parity, checked on EVERY pair: the
-    // direct and serve curves must be bitwise identical whether the serve
-    // side computed each score or answered it from cache.
-    evo_parity_ok = evo_parity_ok && RunsParity(d, s);
-    if (p == 0) {
-      evo_direct = std::move(d);
-      evo_serve = std::move(s);
-    }
+    evo_parity_ok = evo_parity_ok && RunsParity(evo_runs.base[p], evo_runs.test[p]);
   }
+  const double best_evo_ratio = evo_runs.best_ratio;
+  const RunTotals& evo_direct = evo_runs.base[0];  // the first, cache-cold pair
+  const RunTotals& evo_serve = evo_runs.test[0];
   const bool evo_throughput_ok = best_evo_ratio >= 1.5;
 
   TablePrinter evo_table({"pair", "direct cand/s", "serve cand/s", "ratio", "serve hit rate"});
-  for (size_t p = 0; p < evo_pairs.size(); ++p) {
-    evo_table.AddRow({std::to_string(p), FormatDouble(evo_pairs[p].direct_cps, 0),
-                      FormatDouble(evo_pairs[p].serve_cps, 0),
-                      FormatDouble(evo_pairs[p].direct_cps > 0.0
-                                       ? evo_pairs[p].serve_cps / evo_pairs[p].direct_cps
-                                       : 0.0,
-                                   2),
-                      FormatPercent(evo_pairs[p].serve_hit_rate, 1)});
+  for (int p = 0; p < kPairs; ++p) {
+    evo_table.AddRow({std::to_string(p), FormatDouble(evo_runs.base[p].candidates_per_sec(), 0),
+                      FormatDouble(evo_runs.test[p].candidates_per_sec(), 0),
+                      FormatDouble(evo_runs.ratio[p], 2),
+                      FormatPercent(evo_runs.test[p].cache_hit_rate, 1)});
   }
   std::printf("\nEvolutionary search, serve-batched vs direct-serial (%d interleaved pairs):\n",
               kPairs);
@@ -389,14 +370,14 @@ int main(int argc, char** argv) {
     EmitRunTotals(&w, evo_serve, /*serve=*/true);
     w.Key("pairs");
     w.BeginArray();
-    for (const PairRecord& pair : evo_pairs) {
+    for (int p = 0; p < kPairs; ++p) {
       w.BeginObject();
       w.Key("direct_cps");
-      w.Double(pair.direct_cps);
+      w.Double(evo_runs.base[p].candidates_per_sec());
       w.Key("serve_cps");
-      w.Double(pair.serve_cps);
+      w.Double(evo_runs.test[p].candidates_per_sec());
       w.Key("serve_hit_rate");
-      w.Double(pair.serve_hit_rate);
+      w.Double(evo_runs.test[p].cache_hit_rate);
       w.EndObject();
     }
     w.EndArray();

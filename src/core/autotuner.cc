@@ -87,7 +87,7 @@ AutotuneResult Autotune(const Dataset& ds, const std::vector<int>& train,
       trial.valid_mape = stats.final_valid.mape;
     } else if (opts.scoring == TrialScoring::kServe) {
       ServeOptions serve_opts;
-      serve_opts.num_workers = opts.serve_workers;
+      serve_opts.num_workers = 0;  // ServeCostModel scores on this thread
       PredictionService service(&predictor, serve_opts);
       ServeCostModel client(&service);
       trial.valid_mape = ScoreTrial(ds, valid, &client);

@@ -6,9 +6,10 @@
 //
 // Trial scoring (the prediction of every validation sample under the trial's
 // freshly trained predictor) routes through the CostModelClient seam
-// (src/search/cost_model_client.h): kServe stands up a PredictionService per
-// trial and scores the whole validation set as one batched population —
-// dedup, leaf-count-bucketed forwards, and the prediction cache all apply —
+// (src/search/cost_model_client.h): kServe stands up a borrowed-only
+// PredictionService (no workers) per trial and scores the whole validation
+// set as one batched population on the calling thread — dedup,
+// leaf-count-bucketed forwards, and the prediction cache all apply —
 // while kDirect keeps the serial one-forward-per-sample baseline. Both
 // produce bitwise-identical MAPEs for the same seed (PredictBatched is
 // batch-size-invariant), so the choice is a throughput knob, not a quality
@@ -21,7 +22,8 @@
 namespace cdmpp {
 
 // How each trial's validation set is scored. kServe batches through a
-// per-trial PredictionService; kDirect runs serial size-1 forwards.
+// per-trial borrowed-only PredictionService; kDirect runs serial size-1
+// forwards.
 enum class TrialScoring { kServe, kDirect };
 
 struct AutotuneOptions {
@@ -29,8 +31,6 @@ struct AutotuneOptions {
   int epochs_per_trial = 6;
   uint64_t seed = 1234;
   TrialScoring scoring = TrialScoring::kServe;
-  // Worker-pool width of the per-trial PredictionService (kServe only).
-  int serve_workers = 2;
 };
 
 struct AutotuneTrial {

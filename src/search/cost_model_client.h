@@ -136,8 +136,8 @@ class DirectCostModel : public CostModelClient {
 // batch-window wait (ServeOptions::batch_window_ms applies to queued Submit
 // traffic only, so the defaults suit this client), and every future is resolved when the call returns,
 // which is exactly the borrowed-lifetime contract. ScoreBatch therefore
-// takes the service's workers out of the tuning loop; Submit traffic from
-// other clients still goes through them.
+// takes the service's workers out of the tuning loop (a service only it uses
+// can have none: ServeOptions::num_workers = 0); Submit traffic needs them.
 // Thread-compatible: the service is thread-safe, but one ServeCostModel's
 // stats are not; use one client per search driver.
 class ServeCostModel : public CostModelClient {

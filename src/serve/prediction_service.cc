@@ -1,7 +1,6 @@
 #include "src/serve/prediction_service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -39,7 +38,7 @@ PredictionService::PredictionService(CdmppPredictor* predictor, const ServeOptio
       cache_(options.cache_capacity, options.cache_shards) {
   CDMPP_CHECK(predictor != nullptr);
   CDMPP_CHECK_MSG(predictor->fitted(), "serve an unfitted predictor: run Pretrain first");
-  CDMPP_CHECK(options.num_workers > 0);
+  CDMPP_CHECK(options.num_workers >= 0);
   CDMPP_CHECK(options.max_batch_size > 0);
   CDMPP_CHECK(options.batch_window_ms >= 0.0);
   if (options.precision != Precision::kFp32) {
@@ -50,9 +49,6 @@ PredictionService::PredictionService(CdmppPredictor* predictor, const ServeOptio
   workers_.reserve(static_cast<size_t>(options.num_workers));
   for (int i = 0; i < options.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  if (options.stats_log_interval_s > 0.0) {
-    logger_ = std::thread([this] { StatsLoggerLoop(); });
   }
 }
 
@@ -74,14 +70,6 @@ void PredictionService::Shutdown() {
     worker.join();
   }
   workers_.clear();
-  if (logger_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(logger_mu_);
-      logger_stop_ = true;
-    }
-    logger_cv_.notify_all();
-    logger_.join();
-  }
 }
 
 void PredictionService::Recalibrate() {
@@ -93,24 +81,6 @@ void PredictionService::Recalibrate() {
   // so leaf counts the service has already served stay covered.
   std::unique_lock<std::shared_mutex> lock(model_mu_);
   predictor_->PrepareQuantizedInference();
-}
-
-void PredictionService::StatsLoggerLoop() {
-  ServerStatsSnapshot prev = Stats();
-  std::unique_lock<std::mutex> lock(logger_mu_);
-  for (;;) {
-    const bool stopping = logger_cv_.wait_for(
-        lock, std::chrono::duration<double>(options_.stats_log_interval_s),
-        [this] { return logger_stop_; });
-    if (stopping) {
-      return;
-    }
-    lock.unlock();
-    ServerStatsSnapshot cur = Stats();
-    std::fprintf(stderr, "[cdmpp.serve] %s\n", cur.Delta(prev).ToString().c_str());
-    prev = std::move(cur);
-    lock.lock();
-  }
 }
 
 bool PredictionService::BuildRequest(const CompactAst& ast, uint64_t ast_hash, int device_id,
@@ -171,6 +141,9 @@ std::future<double> PredictionService::Submit(const CompactAst& ast, int device_
   std::future<double> ready;
   if (!BuildRequest(ast, ast.Hash(), device_id, /*copy_ast=*/true, &req, &ready)) {
     return ready;
+  }
+  if (options_.num_workers == 0) {
+    return FailedFuture(std::logic_error("Submit cache miss on a service with no workers"));
   }
   std::future<double> result = req.promise.get_future();
   {

@@ -57,6 +57,9 @@
 namespace cdmpp {
 
 struct ServeOptions {
+  // Threads that drain the Submit queue. 0 makes a borrowed-only service:
+  // SubmitBorrowedBatch runs on its caller as always, and a Submit that
+  // misses the cache fails with std::logic_error, as after Shutdown.
   int num_workers = 2;
   // Numeric tier the workers' forward passes run in. kInt8 serves through the
   // int8 symmetric-quantized kernel path (PredictBatchedQuantized, <= 1%
@@ -79,10 +82,6 @@ struct ServeOptions {
   bool enable_cache = true;
   size_t cache_capacity = 1 << 16;
   int cache_shards = 16;
-  // > 0 starts a background thread that logs an interval-delta
-  // ServerStatsSnapshot (QPS, hit rate, latency percentiles + histogram) to
-  // stderr every this-many seconds. 0 (default) disables the logger.
-  double stats_log_interval_s = 0.0;
 };
 
 class PredictionService {
@@ -107,7 +106,8 @@ class PredictionService {
   // the service keeps serving: get() throws std::invalid_argument for an AST
   // with num_leaves <= 0 or a device_id outside [0, DeviceRegistry().size()),
   // and std::logic_error for a request that needs a worker after Shutdown
-  // (a cache hit needs none and still resolves). Programmer errors in wiring
+  // or on a service with no workers (a cache hit needs none and still
+  // resolves). Programmer errors in wiring
   // the service up abort through CDMPP_CHECK: the constructor's checks, and
   // SubmitBorrowedBatch's size mismatch and null AST pointers. Features are
   // not scanned per request; a non-finite feature is not detected.
@@ -219,7 +219,6 @@ class PredictionService {
   // batch-formation time spent building the rest of the population.
   void ProcessBatch(std::vector<Request> requests, std::chrono::steady_clock::time_point ready_at,
                     bool queued, Workspace* ws, std::vector<double>* predictions);
-  void StatsLoggerLoop();
 
   CdmppPredictor* predictor_;
   ServeOptions options_;
@@ -236,12 +235,6 @@ class PredictionService {
   std::shared_mutex model_mu_;
 
   std::vector<std::thread> workers_;
-
-  // Periodic stats logger (options_.stats_log_interval_s > 0 only).
-  std::mutex logger_mu_;
-  std::condition_variable logger_cv_;
-  bool logger_stop_ = false;
-  std::thread logger_;
 
   // Borrowed batches running on their callers' threads; Shutdown waits on
   // borrowed_done_cv_ until none is left. Guarded by queue_mu_, but declared

@@ -519,6 +519,32 @@ TEST(ServeTest, BorrowedBatchInsideParallelForChunkMatches) {
   EXPECT_EQ(service.Stats().batched_rows, static_cast<uint64_t>(kChunks) * asts.size());
 }
 
+// A service with no workers serves borrowed batches alone: the same bits as
+// a service with workers, while a Submit that misses the cache fails (no
+// worker would ever drain it) and a Submit cache hit still resolves.
+TEST(ServeTest, ZeroWorkerServiceServesBorrowedBatchesOnly) {
+  ServeWorld& w = World();
+  const std::vector<const CompactAst*> asts = DistinctAsts(w, 16);
+  ASSERT_EQ(asts.size(), 16u);
+  const std::vector<int> devices(asts.size(), 0);
+  ServeOptions opts;
+  opts.num_workers = 2;
+  PredictionService with_workers(w.predictor.get(), opts);
+  opts.num_workers = 0;
+  PredictionService borrowed_only(w.predictor.get(), opts);
+
+  std::vector<std::future<double>> expected = with_workers.SubmitBorrowedBatch(asts, devices);
+  std::vector<std::future<double>> served = borrowed_only.SubmitBorrowedBatch(asts, devices);
+  for (size_t i = 0; i < asts.size(); ++i) {
+    EXPECT_EQ(served[i].get(), expected[i].get()) << "request " << i;
+  }
+  const CompactAst& unseen = *DistinctAsts(w, asts.size() + 1).back();
+  std::future<double> miss = borrowed_only.Submit(unseen, 0);
+  ASSERT_EQ(miss.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_THROW(miss.get(), std::logic_error);
+  EXPECT_EQ(borrowed_only.Submit(*asts[3], 0).get(), with_workers.Predict(*asts[3], 0));
+}
+
 TEST(ServeTest, BatchingDeliversHigherQpsThanBatchSizeOne) {
   ScopedTimingPool timing_pool;
   ServeWorld& w = World();

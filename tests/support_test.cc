@@ -1,7 +1,9 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/support/cpu_features.h"
-
+#include "src/support/json_writer.h"
 #include "src/support/rng.h"
 #include "src/support/stats.h"
 #include "src/support/table.h"
@@ -213,4 +215,59 @@ TEST(ParsePrecisionTest, NameRoundTripsEveryPrecision) {
 }
 
 }  // namespace
+// ---- JsonWriter (the bench artifacts' emitter) -------------------------------
+
+TEST(JsonWriterTest, NestsEscapesAndClampsNonFinite) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("name");
+  w.String("a\"b\\c\nd\te\x01");
+  w.Key("nan");
+  w.Double(std::numeric_limits<double>::quiet_NaN());
+  w.Key("inf");
+  w.Double(-std::numeric_limits<double>::infinity());
+  w.Key("list");
+  w.BeginArray();
+  w.Int(-1);
+  w.Uint(2);
+  w.Double(1.5);
+  w.BeginObject();
+  w.EndObject();
+  w.BeginArray();
+  w.EndArray();
+  w.Bool(true);
+  w.EndArray();
+  w.Key("raw");
+  w.RawValue("{\"x\": [1, 2]}");
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"name\": \"a\\\"b\\\\c\\nd\\te\\u0001\",\n"
+            "  \"nan\": 0,\n"
+            "  \"inf\": 0,\n"
+            "  \"list\": [\n"
+            "    -1,\n"
+            "    2,\n"
+            "    1.5,\n"
+            "    {},\n"
+            "    [],\n"
+            "    true\n"
+            "  ],\n"
+            "  \"raw\": {\"x\": [1, 2]}\n"
+            "}");
+}
+
+TEST(JsonWriterDeathTest, UnclosedBeginChecks) {
+  EXPECT_DEATH(
+      {
+        JsonWriter w;
+        w.BeginObject();
+        w.Key("series");
+        w.BeginArray();
+        w.EndArray();
+        (void)w.str();
+      },
+      "unclosed");
+}
+
 }  // namespace cdmpp
