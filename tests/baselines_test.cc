@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,8 @@
 #include "src/baselines/tiramisu.h"
 #include "src/baselines/tlp.h"
 #include "src/baselines/xgb_model.h"
+#include "src/support/cpu_features.h"
+#include "src/support/fnv_hash.h"
 #include "src/support/stats.h"
 
 namespace cdmpp {
@@ -216,6 +219,70 @@ TEST(TlpTest, UnseenTaskFallsBackToGlobalMean) {
   for (double p : pred) {
     EXPECT_GT(p, 0.0);
     EXPECT_TRUE(std::isfinite(p));
+  }
+}
+
+// FNV-1a over the bit patterns of every prediction, in order.
+uint64_t PredictionHash(const std::vector<double>& pred) {
+  uint64_t h = kFnvOffset;
+  for (double p : pred) {
+    h = FnvMixDouble(h, p);
+  }
+  return h;
+}
+
+// Bit patterns of the MLP baselines' predictions on the fixtures above (the
+// same splits, configs and seeds), per kernel ISA: the AVX2 kernels round
+// each multiply-add once, the scalar ones twice, so the two differ from each
+// other but each must be reproduced exactly. Pins both baselines' training
+// step and their inference forward.
+struct BaselineGolden {
+  uint64_t habitat;     // split.test of HabitatTest, both devices
+  uint64_t tlp;         // split.test of the source-device TlpTest
+  uint64_t tlp_unseen;  // the unseen tasks of UnseenTaskFallsBackToGlobalMean
+};
+
+constexpr BaselineGolden kAvx2BaselineGolden = {0x68e4b4d7efff9bc3ull, 0x3cdb6092d8ab7cceull,
+                                                0x1f581c4a1b5bdaebull};
+constexpr BaselineGolden kScalarBaselineGolden = {0xbe82ed3e85100d18ull, 0x00fb9629702045d4ull,
+                                                  0xe72051cc6e7b4a9eull};
+
+TEST(BaselineGoldenTest, MlpBaselinePredictionsMatchGoldenBits) {
+  const BaselineGolden& golden =
+      ActiveKernelIsa() == KernelIsa::kAvx2 ? kAvx2BaselineGolden : kScalarBaselineGolden;
+  SCOPED_TRACE(KernelIsaName(ActiveKernelIsa()));
+  const Dataset& ds = SmallDataset();
+  {
+    Rng rng(88);
+    SplitIndices split = SplitDataset(ds, {0, 3}, {}, &rng);
+    HabitatConfig cfg;
+    cfg.epochs = 30;
+    HabitatModel model(cfg);
+    model.Fit(ds, split.train, /*source_device=*/0);
+    EXPECT_EQ(PredictionHash(model.Predict(ds, split.test)), golden.habitat);
+  }
+  {
+    Rng rng(89);
+    SplitIndices split = SplitDataset(ds, {0}, {}, &rng);
+    TlpConfig cfg;
+    cfg.epochs = 20;
+    TlpModel model(cfg);
+    model.Fit(ds, split.train);
+    EXPECT_EQ(PredictionHash(model.Predict(ds, split.test)), golden.tlp);
+  }
+  {
+    std::vector<int> train;
+    std::vector<int> unseen;
+    for (int idx : SamplesOnDevice(ds, 0)) {
+      const Sample& s = ds.samples[static_cast<size_t>(idx)];
+      int task = ds.programs[static_cast<size_t>(s.program_index)].task_id;
+      (task % 3 == 0 ? unseen : train).push_back(idx);
+    }
+    TlpConfig cfg;
+    cfg.epochs = 5;
+    TlpModel model(cfg);
+    model.Fit(ds, train);
+    EXPECT_EQ(PredictionHash(model.Predict(ds, unseen)), golden.tlp_unseen);
   }
 }
 
