@@ -322,7 +322,6 @@ int main(int argc, char** argv) {
   AutotuneOptions tune_opts;
   tune_opts.num_trials = smoke ? 2 : 6;
   tune_opts.epochs_per_trial = smoke ? 1 : 4;
-  tune_opts.scoring = TrialScoring::kServe;
   AutotuneResult tuned = Autotune(ds, Take(split.train, smoke ? 300 : 1200),
                                   Take(split.valid, smoke ? 80 : 250), tune_opts);
   const PredictorConfig& best_cfg = tuned.best.config;

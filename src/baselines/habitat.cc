@@ -84,21 +84,15 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
       for (int start = 0; start < n; start += config_.batch_size) {
         int b = std::min(config_.batch_size, n - start);
         Matrix x(b, kOpFeatDim);
+        std::vector<float> targets(static_cast<size_t>(b));
         for (int i = 0; i < b; ++i) {
-          const auto& f = op->features[static_cast<size_t>(order[static_cast<size_t>(start + i)])];
+          const size_t row = static_cast<size_t>(order[static_cast<size_t>(start + i)]);
           for (int j = 0; j < kOpFeatDim; ++j) {
-            x.At(i, j) = f[static_cast<size_t>(j)];
+            x.At(i, j) = op->features[row][static_cast<size_t>(j)];
           }
+          targets[static_cast<size_t>(i)] = op->log_labels[row];
         }
-        op->mlp->ZeroGrad();
-        Matrix pred = op->mlp->Forward(x);
-        Matrix dpred(b, 1);
-        for (int i = 0; i < b; ++i) {
-          float t = op->log_labels[static_cast<size_t>(order[static_cast<size_t>(start + i)])];
-          dpred.At(i, 0) = 2.0f * (pred.At(i, 0) - t) / static_cast<float>(b);
-        }
-        op->mlp->Backward(dpred);
-        op->adam->Step();
+        MseStep(x, targets, op->mlp.get(), op->adam.get());
       }
     }
   }
@@ -116,9 +110,9 @@ double HabitatModel::PredictTask(const Task& task, int device_id) const {
     for (int j = 0; j < kOpFeatDim; ++j) {
       x.At(0, j) = f[static_cast<size_t>(j)];
     }
-    // Forward mutates layer caches; per_op_ is logically const here.
-    Mlp* mlp = it->second->mlp.get();
-    pred_ms = std::exp(static_cast<double>(mlp->Forward(x).At(0, 0)));
+    Workspace ws;
+    const Matrix* log_ms = it->second->mlp->ForwardInference(x, &ws);
+    pred_ms = std::exp(static_cast<double>(log_ms->At(0, 0)));
   }
   if (device_id != source_device_) {
     // time_target = time_source * (peak_source / peak_target), blended.

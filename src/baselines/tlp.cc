@@ -82,31 +82,25 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
         targets[static_cast<size_t>(i)] =
             static_cast<float>(std::log(std::max(1e-6, s.latency_seconds / mean)));
       }
-      mlp_->ZeroGrad();
-      Matrix pred = mlp_->Forward(x);
-      Matrix dpred(b, 1);
-      for (int i = 0; i < b; ++i) {
-        dpred.At(i, 0) =
-            2.0f * (pred.At(i, 0) - targets[static_cast<size_t>(i)]) / static_cast<float>(b);
-      }
-      mlp_->Backward(dpred);
-      adam_->Step();
+      MseStep(x, targets, mlp_.get(), adam_.get());
     }
   }
 }
 
-std::vector<double> TlpModel::Predict(const Dataset& ds, const std::vector<int>& indices) {
+std::vector<double> TlpModel::Predict(const Dataset& ds, const std::vector<int>& indices) const {
   CDMPP_CHECK(mlp_ != nullptr);
   std::vector<double> out;
   out.reserve(indices.size());
+  Workspace ws;
   for (int idx : indices) {
+    ws.Reset();
     const Sample& s = ds.samples[static_cast<size_t>(idx)];
     std::vector<float> f = Features(ds, s);
     Matrix x(1, kTlpFeatDim);
     for (int j = 0; j < kTlpFeatDim; ++j) {
       x.At(0, j) = f[static_cast<size_t>(j)];
     }
-    double rel = std::exp(static_cast<double>(mlp_->Forward(x).At(0, 0)));
+    double rel = std::exp(static_cast<double>(mlp_->ForwardInference(x, &ws)->At(0, 0)));
     int task_id = ds.programs[static_cast<size_t>(s.program_index)].task_id;
     auto it = task_mean_seconds_.find(task_id);
     double mean = it != task_mean_seconds_.end() ? it->second : global_mean_seconds_;

@@ -33,7 +33,7 @@ class TlpModel {
   void Fit(const Dataset& ds, const std::vector<int>& train);
   // Absolute latency predictions (seconds): relative output x training-task
   // mean (falls back to the global mean for unseen tasks).
-  std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices);
+  std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices) const;
 
  private:
   std::vector<float> Features(const Dataset& ds, const Sample& s) const;

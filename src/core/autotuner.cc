@@ -85,7 +85,7 @@ AutotuneResult Autotune(const Dataset& ds, const std::vector<int>& train,
     if (valid.empty()) {
       // Nothing to score through the client; keep the training loop's number.
       trial.valid_mape = stats.final_valid.mape;
-    } else if (opts.scoring == TrialScoring::kServe) {
+    } else {
       ServeOptions serve_opts;
       serve_opts.num_workers = 0;  // ServeCostModel scores on this thread
       PredictionService service(&predictor, serve_opts);
@@ -96,11 +96,6 @@ AutotuneResult Autotune(const Dataset& ds, const std::vector<int>& train,
       const ServerStatsSnapshot snap = service.Stats();
       cache_hits += snap.cache_hits;
       serve_requests += snap.requests;
-    } else {
-      DirectCostModel client(&predictor);
-      trial.valid_mape = ScoreTrial(ds, valid, &client);
-      result.scored_candidates += client.stats().queries;
-      result.scoring_seconds += client.stats().score_seconds;
     }
     if (trial.valid_mape < result.best.valid_mape) {
       result.best = trial;

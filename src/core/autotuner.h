@@ -6,14 +6,12 @@
 //
 // Trial scoring (the prediction of every validation sample under the trial's
 // freshly trained predictor) routes through the CostModelClient seam
-// (src/search/cost_model_client.h): kServe stands up a borrowed-only
-// PredictionService (no workers) per trial and scores the whole validation
-// set as one batched population on the calling thread — dedup,
-// leaf-count-bucketed forwards, and the prediction cache all apply —
-// while kDirect keeps the serial one-forward-per-sample baseline. Both
-// produce bitwise-identical MAPEs for the same seed (PredictBatched is
-// batch-size-invariant), so the choice is a throughput knob, not a quality
-// one; tests/search_test.cc pins the parity.
+// (src/search/cost_model_client.h): each trial stands up a borrowed-only
+// PredictionService (no workers) and scores the whole validation set as one
+// batched population on the calling thread — dedup, leaf-count-bucketed
+// forwards, and the prediction cache all apply. The MAPE is bitwise the one
+// serial size-1 forwards (DirectCostModel) give, because PredictBatched is
+// batch-size-invariant; tests/search_test.cc pins the parity.
 #ifndef SRC_CORE_AUTOTUNER_H_
 #define SRC_CORE_AUTOTUNER_H_
 
@@ -21,16 +19,10 @@
 
 namespace cdmpp {
 
-// How each trial's validation set is scored. kServe batches through a
-// per-trial borrowed-only PredictionService; kDirect runs serial size-1
-// forwards.
-enum class TrialScoring { kServe, kDirect };
-
 struct AutotuneOptions {
   int num_trials = 12;
   int epochs_per_trial = 6;
   uint64_t seed = 1234;
-  TrialScoring scoring = TrialScoring::kServe;
 };
 
 struct AutotuneTrial {
@@ -42,8 +34,8 @@ struct AutotuneResult {
   AutotuneTrial best;
   std::vector<AutotuneTrial> trials;
   // Client-seam traffic accounting, accumulated across trials: validation
-  // samples pushed through ScoreBatch, wall-clock spent scoring, and (kServe
-  // only) the fraction answered by the prediction cache.
+  // samples pushed through ScoreBatch, wall-clock spent scoring, and the
+  // fraction answered by the prediction cache.
   uint64_t scored_candidates = 0;
   double scoring_seconds = 0.0;
   double scoring_cache_hit_rate = 0.0;

@@ -283,7 +283,7 @@ void CdmppPredictor::ClipGradients() {
   }
 }
 
-std::vector<Matrix> CdmppPredictor::SnapshotParams() {
+std::vector<Matrix> CdmppPredictor::ExportParams() {
   std::vector<Param*> params;
   CollectAllParams(&params);
   std::vector<Matrix> snapshot;
@@ -294,20 +294,14 @@ std::vector<Matrix> CdmppPredictor::SnapshotParams() {
   return snapshot;
 }
 
-void CdmppPredictor::RestoreParams(const std::vector<Matrix>& snapshot) {
+void CdmppPredictor::ImportParams(const std::vector<Matrix>& snapshot) {
+  DropInt8Packs();
   std::vector<Param*> params;
   CollectAllParams(&params);
   CDMPP_CHECK(params.size() == snapshot.size());
   for (size_t i = 0; i < params.size(); ++i) {
     params[i]->value = snapshot[i];
   }
-}
-
-std::vector<Matrix> CdmppPredictor::ExportParams() { return SnapshotParams(); }
-
-void CdmppPredictor::ImportParams(const std::vector<Matrix>& params) {
-  DropInt8Packs();
-  RestoreParams(params);
 }
 
 TrainStats CdmppPredictor::Pretrain(const Dataset& ds, const std::vector<int>& train,
@@ -463,7 +457,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       stats.epoch_valid_mape.push_back(v.mape);
       if (v.mape < best_valid_mape) {
         best_valid_mape = v.mape;
-        best_params = SnapshotParams();
+        best_params = ExportParams();
       }
     }
   }
@@ -473,7 +467,7 @@ TrainStats CdmppPredictor::RunTraining(const Dataset& ds, const std::vector<int>
       stats.train_seconds > 0.0 ? static_cast<double>(samples_seen) / stats.train_seconds : 0.0;
 
   if (!best_params.empty()) {
-    RestoreParams(best_params);
+    ImportParams(best_params);
   }
   if (!valid.empty()) {
     stats.final_valid = Evaluate(ds, valid);
@@ -892,17 +886,6 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
           pred_ms / kSecondsToMs;
     }
   }
-}
-
-double CdmppPredictor::PredictProgram(const Dataset& ds, int program_index, int device_id) {
-  // Locate (or synthesize) a sample row for this (program, device) pair.
-  for (size_t i = 0; i < ds.samples.size(); ++i) {
-    if (ds.samples[i].program_index == program_index && ds.samples[i].device_id == device_id) {
-      return Predict(ds, {static_cast<int>(i)})[0];
-    }
-  }
-  CDMPP_CHECK_MSG(false, "no sample for (program, device); build the dataset with this device");
-  __builtin_unreachable();
 }
 
 EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& indices) {

@@ -104,8 +104,6 @@ class CdmppPredictor {
   // Predicted latencies in seconds (inverse-transformed), computed by the
   // const PredictBatched forward; creates any missing leaf-count heads.
   std::vector<double> Predict(const Dataset& ds, const std::vector<int>& indices);
-  // Predicts a single program (by dataset program index) on a device.
-  double PredictProgram(const Dataset& ds, int program_index, int device_id);
   // Predicts a free-standing compact AST on a device (used by the replayer
   // and the schedule-search integration). A head for the AST's leaf count is
   // created on demand if training never saw that count.
@@ -192,11 +190,12 @@ class CdmppPredictor {
   const PredictorConfig& config() const { return config_; }
   size_t NumParams();
 
-  // Snapshots / restores all trainable parameters (used by experiments that
-  // fine-tune several times from one pre-trained state). Import requires the
-  // same architecture and head set as at export time.
+  // Snapshots / restores all trainable parameters (training keeps its best
+  // validation epoch this way; experiments fine-tune several times from one
+  // pre-trained state). Import requires the same architecture and head set
+  // as at export time, and drops every int8 pack.
   std::vector<Matrix> ExportParams();
-  void ImportParams(const std::vector<Matrix>& params);
+  void ImportParams(const std::vector<Matrix>& snapshot);
 
  private:
   // Creates per-leaf-count heads for every leaf count in the dataset subset.
@@ -261,8 +260,6 @@ class CdmppPredictor {
   // Global-norm clipping over step_params_: per-tensor squared norms in
   // parallel, summed in tensor order.
   void ClipGradients();
-  std::vector<Matrix> SnapshotParams();
-  void RestoreParams(const std::vector<Matrix>& snapshot);
 
   // Shared training loop; when alpha > 0, adds CMD(z_src, z_tgt) per step
   // using batches drawn from the two domains.

@@ -177,27 +177,6 @@ void MultiHeadSelfAttention::AppendGradTasks(const Matrix& x, std::vector<GradTa
   wo_->AppendGradTasks(context_, tasks);
 }
 
-Matrix MultiHeadSelfAttention::Forward(const Matrix& x, int seq_len) {
-  input_ = x;
-  BeginStep(x.rows(), seq_len);
-  Workspace scratch;
-  return ForwardRows(input_, 0, x.rows(), &scratch);
-}
-
-Matrix MultiHeadSelfAttention::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == d_model_);
-  output_grad() = dy;
-  Workspace scratch;
-  Matrix dx(dy.rows(), d_model_);
-  InputGradRows(0, dy.rows(), &scratch, &dx);
-  std::vector<GradTask> tasks;
-  AppendGradTasks(input_, &tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
-}
-
 Matrix* MultiHeadSelfAttention::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
                                                  Precision precision) const {
   return ForwardRowsInto(x, 0, x.rows(), seq_len, precision, ArenaDest(x.rows(), ws), ws);

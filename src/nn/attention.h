@@ -53,11 +53,9 @@ class MultiHeadSelfAttention : public Module {
   void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
   void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
 
-  // x: [batch * seq_len, d_model]. Returns the same shape.
-  Matrix Forward(const Matrix& x, int seq_len);
-  Matrix Backward(const Matrix& dy);
-  // Output and scratch from `ws`; bitwise identical for every
-  // CDMPP_NUM_THREADS value and batch split.
+  // x: [batch * seq_len, d_model]; returns the same shape. Output and
+  // scratch from `ws`; bitwise identical for every CDMPP_NUM_THREADS value
+  // and batch split.
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
                            Precision precision = Precision::kFp32) const;
   void CollectParams(std::vector<Param*>* out) override;
@@ -80,7 +78,6 @@ class MultiHeadSelfAttention : public Module {
   int seq_len_ = 0;
   Matrix context_;
   std::vector<Matrix> attn_;  // per (sample, head): [L, L] softmax weights
-  Matrix input_;              // the Forward/Backward wrappers' copy of x
 };
 
 }  // namespace cdmpp

@@ -178,25 +178,6 @@ void Linear::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
   tasks->push_back({GradTask::Kind::kBias, nullptr, &dy_, &b_.grad});
 }
 
-Matrix Linear::Forward(const Matrix& x) {
-  input_ = x;
-  BeginStep(x.rows());
-  return ForwardRows(input_, 0, x.rows());
-}
-
-Matrix Linear::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == out_dim());
-  dy_ = dy;
-  Matrix dx(dy.rows(), in_dim());
-  InputGradRows(0, dy.rows(), dx.data(), dx.cols());
-  std::vector<GradTask> tasks;
-  AppendGradTasks(input_, &tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
-}
-
 Matrix* Linear::ForwardInference(const Matrix& x, Workspace* ws, kernels::Activation act,
                                  Precision precision) const {
   Matrix* y = ws->NewMatrix(x.rows(), out_dim());
@@ -295,24 +276,6 @@ void LayerNorm::AppendGradTasks(std::vector<GradTask>* tasks) {
   tasks->push_back({GradTask::Kind::kBeta, nullptr, &dy_, &beta_.grad});
 }
 
-Matrix LayerNorm::Forward(const Matrix& x) {
-  BeginStep(x.rows());
-  return ForwardRows(x, 0, x.rows());
-}
-
-Matrix LayerNorm::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == norm_.rows() && dy.cols() == norm_.cols());
-  dy_ = dy;
-  Matrix dx(dy.rows(), dy.cols());
-  InputGradRows(0, dy.rows(), &dx);
-  std::vector<GradTask> tasks;
-  AppendGradTasks(&tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
-}
-
 Matrix* LayerNorm::ForwardInference(const Matrix& x, Workspace* ws) const {
   const Dest dest = ArenaDest(x.rows(), ws);
   ForwardRowsInto(x, 0, x.rows(), dest);
@@ -378,27 +341,6 @@ void Mlp::AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks) {
   for (size_t i = 1; i < linears_.size(); ++i) {
     linears_[i]->AppendGradTasks(linears_[i - 1]->output(), tasks);
   }
-}
-
-Matrix Mlp::Forward(const Matrix& x) {
-  input_ = x;
-  BeginStep(x.rows());
-  return ForwardRows(input_, 0, x.rows());
-}
-
-Matrix Mlp::Backward(const Matrix& dy) {
-  const int rows = input_.rows();
-  CDMPP_CHECK(dy.rows() == rows && dy.cols() == output_grad().cols());
-  output_grad() = dy;
-  BackpropRows(0, rows);
-  Matrix dx(rows, input_.cols());
-  InputGradRows(0, rows, dx.data(), dx.cols());
-  std::vector<GradTask> tasks;
-  AppendGradTasks(input_, &tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
 }
 
 Matrix* Mlp::ForwardInference(const Matrix& x, Workspace* ws, Precision precision) const {

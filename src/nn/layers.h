@@ -50,11 +50,7 @@
 // op on the row path is local to a row or a sample, and every cross-row
 // reduction (dW = xᵀ·dy, bias/gamma/beta column sums) runs once over the
 // whole batch in row order, so results do not depend on the sharding.
-//
-// Forward(x) / Backward(dy) are whole-batch wrappers over the row primitives
-// (the baselines and the gradient checks use them): Forward keeps a copy of
-// x, Backward accumulates parameter gradients and returns dLoss/dInput. Call
-// ZeroGrad between steps.
+// Parameter gradients accumulate: call ZeroGrad between steps.
 #ifndef SRC_NN_LAYERS_H_
 #define SRC_NN_LAYERS_H_
 
@@ -109,9 +105,9 @@ class Module {
 };
 
 // One parameter tensor's share of a training step's parameter-gradient
-// region: grad accumulates over the full batch, rows in ascending order,
-// through the same kernel call or loop a whole-batch backward runs. Tasks
-// own disjoint tensors, so a region runs them concurrently in any order.
+// region: grad accumulates over the full batch, rows in ascending order, in
+// one kernel call or loop. Tasks own disjoint tensors, so a region runs them
+// concurrently in any order.
 struct GradTask {
   enum class Kind {
     kWeight,  // grad += xᵀ·dy: one GemmTN, beta = 1
@@ -201,8 +197,6 @@ class Linear : public Module {
   void InputGradRows(int r0, int r1, float* dx, int ldx, bool accumulate = false) const;
   void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
 
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
   Matrix* ForwardInference(const Matrix& x, Workspace* ws,
                            kernels::Activation act = kernels::Activation::kNone,
                            Precision precision = Precision::kFp32) const;
@@ -220,7 +214,6 @@ class Linear : public Module {
   std::unique_ptr<const Int8Pack> int8_;
   Matrix y_;
   Matrix dy_;
-  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // Per-row layer normalization with learnable gamma/beta.
@@ -247,8 +240,6 @@ class LayerNorm : public Module {
   void InputGradRows(int r0, int r1, Matrix* dx) const;
   void AppendGradTasks(std::vector<GradTask>* tasks);
 
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
   Dest ArenaDest(int rows, Workspace* ws) const {
     return {ws->NewMatrix(rows, dim()), nullptr, nullptr};
   }
@@ -290,8 +281,6 @@ class Mlp : public Module {
   void InputGradRows(int r0, int r1, float* dx, int ldx) const;
   void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
 
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dy);
   Matrix* ForwardInference(const Matrix& x, Workspace* ws,
                            Precision precision = Precision::kFp32) const;
   void CollectParams(std::vector<Param*>* out) override;
@@ -308,7 +297,6 @@ class Mlp : public Module {
                           Workspace* scratch) const;
 
   std::vector<std::unique_ptr<Linear>> linears_;
-  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 // One LSTM step (used by the Tiramisu-style recursive baseline).

@@ -118,4 +118,25 @@ double CyclicLr::LrAt(int64_t step) const {
   return base_lr_ + (max_lr_ - base_lr_) * frac;
 }
 
+void MseStep(const Matrix& x, const std::vector<float>& targets, Mlp* mlp, Optimizer* opt) {
+  const int rows = x.rows();
+  CDMPP_CHECK(static_cast<int>(targets.size()) == rows);
+  mlp->ZeroGrad();
+  mlp->BeginStep(rows);
+  const Matrix& pred = mlp->ForwardRows(x, 0, rows);
+  CDMPP_CHECK(pred.cols() == 1);
+  Matrix& dpred = mlp->output_grad();
+  for (int i = 0; i < rows; ++i) {
+    dpred.At(i, 0) =
+        2.0f * (pred.At(i, 0) - targets[static_cast<size_t>(i)]) / static_cast<float>(rows);
+  }
+  mlp->BackpropRows(0, rows);
+  std::vector<GradTask> tasks;
+  mlp->AppendGradTasks(x, &tasks);
+  for (const GradTask& task : tasks) {
+    RunGradTask(task);
+  }
+  opt->Step();
+}
+
 }  // namespace cdmpp

@@ -83,6 +83,14 @@ class CyclicLr : public LrScheduler {
   int64_t step_size_;
 };
 
+// One mean-squared-error step of a one-output Mlp regressor through its
+// training row primitives (src/nn/layers.h): zero the gradients, forward
+// every row of x, seed the output gradient with 2 (pred - target) / rows,
+// backpropagate, accumulate every parameter gradient and step `opt`, which
+// owns the Mlp's parameters. Nothing reads the input gradient, so it is not
+// computed. The TLP and Habitat baselines train this way.
+void MseStep(const Matrix& x, const std::vector<float>& targets, Mlp* mlp, Optimizer* opt);
+
 }  // namespace cdmpp
 
 #endif  // SRC_NN_OPTIMIZER_H_

@@ -98,27 +98,6 @@ void TransformerEncoderLayer::AppendGradTasks(const Matrix& x, std::vector<GradT
   norm2_.AppendGradTasks(tasks);
 }
 
-Matrix TransformerEncoderLayer::Forward(const Matrix& x, int seq_len) {
-  input_ = x;
-  BeginStep(x.rows(), seq_len);
-  Workspace scratch;
-  return ForwardRows(input_, 0, x.rows(), &scratch);
-}
-
-Matrix TransformerEncoderLayer::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == input_.cols());
-  output_grad() = dy;
-  Workspace scratch;
-  Matrix dx(dy.rows(), dy.cols());
-  InputGradRows(0, dy.rows(), &scratch, &dx);
-  std::vector<GradTask> tasks;
-  AppendGradTasks(input_, &tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
-}
-
 Matrix* TransformerEncoderLayer::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
                                                   Precision precision) const {
   return ForwardRowsInto(x, 0, x.rows(), seq_len, precision, ArenaDest(x.rows(), ws), ws);
@@ -168,27 +147,6 @@ void TransformerEncoder::AppendGradTasks(const Matrix& x, std::vector<GradTask>*
   for (size_t i = 1; i < layers_.size(); ++i) {
     layers_[i]->AppendGradTasks(layers_[i - 1]->output(), tasks);
   }
-}
-
-Matrix TransformerEncoder::Forward(const Matrix& x, int seq_len) {
-  input_ = x;
-  BeginStep(x.rows(), seq_len);
-  Workspace scratch;
-  return ForwardRows(input_, 0, x.rows(), &scratch);
-}
-
-Matrix TransformerEncoder::Backward(const Matrix& dy) {
-  CDMPP_CHECK(dy.rows() == input_.rows() && dy.cols() == input_.cols());
-  output_grad() = dy;
-  Workspace scratch;
-  Matrix dx(dy.rows(), dy.cols());
-  InputGradRows(0, dy.rows(), &scratch, &dx);
-  std::vector<GradTask> tasks;
-  AppendGradTasks(input_, &tasks);
-  for (const GradTask& t : tasks) {
-    RunGradTask(t);
-  }
-  return dx;
 }
 
 Matrix* TransformerEncoder::ForwardInference(const Matrix& x, int seq_len, Workspace* ws,

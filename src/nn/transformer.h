@@ -44,8 +44,6 @@ class TransformerEncoderLayer : public Module {
   void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
   void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
 
-  Matrix Forward(const Matrix& x, int seq_len);
-  Matrix Backward(const Matrix& dy);
   Matrix* ForwardInference(const Matrix& x, int seq_len, Workspace* ws,
                            Precision precision = Precision::kFp32) const;
   void CollectParams(std::vector<Param*>* out) override;
@@ -63,7 +61,6 @@ class TransformerEncoderLayer : public Module {
   std::unique_ptr<Linear> ff2_;
   LayerNorm norm2_;
   int seq_len_ = 0;  // of the training step
-  Matrix input_;     // the Forward/Backward wrappers' copy of x
 };
 
 // A stack of encoder layers.
@@ -78,8 +75,6 @@ class TransformerEncoder : public Module {
   void InputGradRows(int r0, int r1, Workspace* scratch, Matrix* dx);
   void AppendGradTasks(const Matrix& x, std::vector<GradTask>* tasks);
 
-  Matrix Forward(const Matrix& x, int seq_len);
-  Matrix Backward(const Matrix& dy);
   // Each layer's forward body on arena destinations (see src/nn/layers.h),
   // one layer's tensors live at a time: safe for concurrent use on a shared
   // encoder while no thread is training it.
@@ -95,7 +90,6 @@ class TransformerEncoder : public Module {
  private:
   int d_model_;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;
-  Matrix input_;  // the Forward/Backward wrappers' copy of x
 };
 
 }  // namespace cdmpp

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,65 @@ double WeightedSum(const Matrix& out, const Matrix& weights) {
   }
   return s;
 }
+
+// Whole-batch training through a layer's row primitives: the pass the
+// gradient checks differentiate and the smoke test trains with. Forward
+// sizes the caches for x's rows and runs the forward over all of them;
+// Backward seeds output_grad() with dy, returns dLoss/dx and accumulates
+// every parameter gradient through the layer's GradTasks. Attention and the
+// encoder take the step's `seq_len`.
+template <typename Layer>
+class RowTrainer {
+ public:
+  explicit RowTrainer(Layer* layer, int seq_len = 0) : layer_(layer), seq_len_(seq_len) {}
+
+  Matrix Forward(const Matrix& x) {
+    x_ = x;
+    const int rows = x.rows();
+    if constexpr (kSequence) {
+      layer_->BeginStep(rows, seq_len_);
+      scratch_.Reset();
+      return layer_->ForwardRows(x_, 0, rows, &scratch_);
+    } else {
+      layer_->BeginStep(rows);
+      return layer_->ForwardRows(x_, 0, rows);
+    }
+  }
+
+  Matrix Backward(const Matrix& dy) {
+    const int rows = x_.rows();
+    layer_->output_grad() = dy;
+    Matrix dx(rows, x_.cols());
+    std::vector<GradTask> tasks;
+    if constexpr (kSequence) {
+      scratch_.Reset();
+      layer_->InputGradRows(0, rows, &scratch_, &dx);
+      layer_->AppendGradTasks(x_, &tasks);
+    } else if constexpr (std::is_same_v<Layer, LayerNorm>) {
+      layer_->InputGradRows(0, rows, &dx);
+      layer_->AppendGradTasks(&tasks);
+    } else {
+      if constexpr (std::is_same_v<Layer, Mlp>) {
+        layer_->BackpropRows(0, rows);
+      }
+      layer_->InputGradRows(0, rows, dx.data(), dx.cols());
+      layer_->AppendGradTasks(x_, &tasks);
+    }
+    for (const GradTask& task : tasks) {
+      RunGradTask(task);
+    }
+    return dx;
+  }
+
+ private:
+  static constexpr bool kSequence = !std::is_same_v<Layer, Linear> &&
+                                    !std::is_same_v<Layer, LayerNorm> &&
+                                    !std::is_same_v<Layer, Mlp>;
+  Layer* layer_;
+  int seq_len_;
+  Matrix x_;  // the forward's input, which the weight-gradient tasks read
+  Workspace scratch_;
+};
 
 TEST(MatrixTest, MatMulMatchesManual) {
   Matrix a(2, 3);
@@ -91,13 +151,14 @@ TEST(MatrixTest, SoftmaxRowsSumToOne) {
 TEST(LinearTest, GradientCheck) {
   Rng rng(43);
   Linear layer(5, 4, &rng);
+  RowTrainer<Linear> train(&layer);
   Matrix x = RandomMatrix(3, 5, &rng);
   Matrix w = RandomMatrix(3, 4, &rng);
 
-  auto loss = [&]() { return WeightedSum(layer.Forward(x), w); };
+  auto loss = [&]() { return WeightedSum(train.Forward(x), w); };
   layer.ZeroGrad();
   loss();
-  layer.Backward(w);
+  train.Backward(w);
   std::vector<Param*> params;
   layer.CollectParams(&params);
   CheckParamGradients(params, loss);
@@ -106,19 +167,20 @@ TEST(LinearTest, GradientCheck) {
 TEST(LinearTest, InputGradientCheck) {
   Rng rng(44);
   Linear layer(4, 3, &rng);
+  RowTrainer<Linear> train(&layer);
   Matrix x = RandomMatrix(2, 4, &rng);
   Matrix w = RandomMatrix(2, 3, &rng);
   layer.ZeroGrad();
-  layer.Forward(x);
-  Matrix dx = layer.Backward(w);
+  train.Forward(x);
+  Matrix dx = train.Backward(w);
   const double eps = 1e-3;
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) {
       float orig = x.At(i, j);
       x.At(i, j) = orig + static_cast<float>(eps);
-      double up = WeightedSum(layer.Forward(x), w);
+      double up = WeightedSum(train.Forward(x), w);
       x.At(i, j) = orig - static_cast<float>(eps);
-      double down = WeightedSum(layer.Forward(x), w);
+      double down = WeightedSum(train.Forward(x), w);
       x.At(i, j) = orig;
       EXPECT_NEAR(dx.At(i, j), (up - down) / (2 * eps), 1e-2);
     }
@@ -129,7 +191,8 @@ TEST(LayerNormTest, NormalizesRows) {
   Rng rng(45);
   LayerNorm ln(8);
   Matrix x = RandomMatrix(4, 8, &rng, 5.0);
-  Matrix y = ln.Forward(x);
+  Workspace ws;
+  const Matrix& y = *ln.ForwardInference(x, &ws);
   for (int i = 0; i < y.rows(); ++i) {
     double mean = 0.0;
     for (int j = 0; j < 8; ++j) {
@@ -143,12 +206,13 @@ TEST(LayerNormTest, NormalizesRows) {
 TEST(LayerNormTest, GradientCheck) {
   Rng rng(46);
   LayerNorm ln(6);
+  RowTrainer<LayerNorm> train(&ln);
   Matrix x = RandomMatrix(3, 6, &rng);
   Matrix w = RandomMatrix(3, 6, &rng);
-  auto loss = [&]() { return WeightedSum(ln.Forward(x), w); };
+  auto loss = [&]() { return WeightedSum(train.Forward(x), w); };
   ln.ZeroGrad();
   loss();
-  ln.Backward(w);
+  train.Backward(w);
   std::vector<Param*> params;
   ln.CollectParams(&params);
   CheckParamGradients(params, loss);
@@ -157,12 +221,13 @@ TEST(LayerNormTest, GradientCheck) {
 TEST(MlpTest, GradientCheck) {
   Rng rng(47);
   Mlp mlp({4, 6, 1}, &rng);
+  RowTrainer<Mlp> train(&mlp);
   Matrix x = RandomMatrix(5, 4, &rng);
   Matrix w = RandomMatrix(5, 1, &rng);
-  auto loss = [&]() { return WeightedSum(mlp.Forward(x), w); };
+  auto loss = [&]() { return WeightedSum(train.Forward(x), w); };
   mlp.ZeroGrad();
   loss();
-  mlp.Backward(w);
+  train.Backward(w);
   std::vector<Param*> params;
   mlp.CollectParams(&params);
   CheckParamGradients(params, loss);
@@ -172,7 +237,8 @@ TEST(AttentionTest, OutputShapeMatchesInput) {
   Rng rng(48);
   MultiHeadSelfAttention attn(8, 2, &rng);
   Matrix x = RandomMatrix(6, 8, &rng);  // 2 samples x seq_len 3
-  Matrix y = attn.Forward(x, 3);
+  Workspace ws;
+  const Matrix& y = *attn.ForwardInference(x, 3, &ws);
   EXPECT_EQ(y.rows(), 6);
   EXPECT_EQ(y.cols(), 8);
 }
@@ -182,9 +248,10 @@ TEST(AttentionTest, SamplesAreIndependent) {
   Rng rng(49);
   MultiHeadSelfAttention attn(8, 2, &rng);
   Matrix x = RandomMatrix(6, 8, &rng);
-  Matrix y1 = attn.Forward(x, 3);
+  Workspace ws;
+  const Matrix& y1 = *attn.ForwardInference(x, 3, &ws);
   x.At(4, 2) += 1.0f;  // perturb a row in the second sample
-  Matrix y2 = attn.Forward(x, 3);
+  const Matrix& y2 = *attn.ForwardInference(x, 3, &ws);
   for (int t = 0; t < 3; ++t) {
     for (int j = 0; j < 8; ++j) {
       EXPECT_FLOAT_EQ(y1.At(t, j), y2.At(t, j));
@@ -195,12 +262,13 @@ TEST(AttentionTest, SamplesAreIndependent) {
 TEST(AttentionTest, GradientCheck) {
   Rng rng(50);
   MultiHeadSelfAttention attn(4, 2, &rng);
+  RowTrainer<MultiHeadSelfAttention> train(&attn, /*seq_len=*/2);
   Matrix x = RandomMatrix(4, 4, &rng);  // 2 samples x seq_len 2
   Matrix w = RandomMatrix(4, 4, &rng);
-  auto loss = [&]() { return WeightedSum(attn.Forward(x, 2), w); };
+  auto loss = [&]() { return WeightedSum(train.Forward(x), w); };
   attn.ZeroGrad();
   loss();
-  attn.Backward(w);
+  train.Backward(w);
   std::vector<Param*> params;
   attn.CollectParams(&params);
   CheckParamGradients(params, loss, 1e-3, 3e-2);
@@ -209,12 +277,13 @@ TEST(AttentionTest, GradientCheck) {
 TEST(TransformerTest, GradientCheck) {
   Rng rng(51);
   TransformerEncoderLayer layer(4, 2, 8, &rng);
+  RowTrainer<TransformerEncoderLayer> train(&layer, /*seq_len=*/2);
   Matrix x = RandomMatrix(4, 4, &rng);
   Matrix w = RandomMatrix(4, 4, &rng);
-  auto loss = [&]() { return WeightedSum(layer.Forward(x, 2), w); };
+  auto loss = [&]() { return WeightedSum(train.Forward(x), w); };
   layer.ZeroGrad();
   loss();
-  layer.Backward(w);
+  train.Backward(w);
   std::vector<Param*> params;
   layer.CollectParams(&params);
   CheckParamGradients(params, loss, 1e-3, 5e-2, 6);
@@ -223,20 +292,21 @@ TEST(TransformerTest, GradientCheck) {
 TEST(TransformerTest, StackedEncoderInputGradient) {
   Rng rng(52);
   TransformerEncoder enc(4, 2, 8, 2, &rng);
+  RowTrainer<TransformerEncoder> train(&enc, /*seq_len=*/2);
   Matrix x = RandomMatrix(4, 4, &rng);
   Matrix w = RandomMatrix(4, 4, &rng);
   enc.ZeroGrad();
-  enc.Forward(x, 2);
-  Matrix dx = enc.Backward(w);
+  train.Forward(x);
+  Matrix dx = train.Backward(w);
   const double eps = 1e-2;
   int checked = 0;
   for (int i = 0; i < x.rows() && checked < 6; ++i) {
     for (int j = 0; j < x.cols() && checked < 6; ++j, ++checked) {
       float orig = x.At(i, j);
       x.At(i, j) = orig + static_cast<float>(eps);
-      double up = WeightedSum(enc.Forward(x, 2), w);
+      double up = WeightedSum(train.Forward(x), w);
       x.At(i, j) = orig - static_cast<float>(eps);
-      double down = WeightedSum(enc.Forward(x, 2), w);
+      double down = WeightedSum(train.Forward(x), w);
       x.At(i, j) = orig;
       double numeric = (up - down) / (2 * eps);
       EXPECT_NEAR(dx.At(i, j), numeric, 0.05 * std::max(1.0, std::abs(numeric)));
@@ -428,6 +498,8 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
   const int d = 8;
   TransformerEncoder enc(d, 2, 16, 1, &rng);
   Linear head(seq * d, 1, &rng);
+  RowTrainer<TransformerEncoder> enc_train(&enc, seq);
+  RowTrainer<Linear> head_train(&head);
   std::vector<Param*> params;
   enc.CollectParams(&params);
   head.CollectParams(&params);
@@ -456,7 +528,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
     for (Param* p : params) {
       p->grad.Zero();
     }
-    Matrix h = enc.Forward(x, seq);
+    Matrix h = enc_train.Forward(x);
     // Flatten each sample's rows into one row for the head.
     Matrix flat(16, seq * d);
     for (int i = 0; i < 16; ++i) {
@@ -466,7 +538,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
         }
       }
     }
-    Matrix pred = head.Forward(flat);
+    Matrix pred = head_train.Forward(flat);
     double loss = 0.0;
     Matrix dpred(16, 1);
     for (int i = 0; i < 16; ++i) {
@@ -478,7 +550,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
       first_loss = loss;
     }
     last_loss = loss;
-    Matrix dflat = head.Backward(dpred);
+    Matrix dflat = head_train.Backward(dpred);
     Matrix dh(16 * seq, d);
     for (int i = 0; i < 16; ++i) {
       for (int t = 0; t < seq; ++t) {
@@ -487,7 +559,7 @@ TEST(TrainingSmokeTest, TransformerFitsSimpleFunction) {
         }
       }
     }
-    enc.Backward(dh);
+    enc_train.Backward(dh);
     adam.Step();
   }
   EXPECT_LT(last_loss, first_loss * 0.5);

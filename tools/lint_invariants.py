@@ -32,7 +32,13 @@ in a temp tree and asserts the linter catches it):
                         a scratch Workspace and copies its result out is
                         left. A ForwardInference that heap-allocates its
                         output breaks the zero-alloc warm path contract
-                        (tests/dataplane_test.cc).
+                        (tests/dataplane_test.cc). Under src/nn/, no
+                        by-value `Matrix <Class>::Forward(` or
+                        `::Backward(` definition either: a layer is trained
+                        through its row primitives and run through
+                        ForwardInference, and a whole-batch wrapper that
+                        copies its input into the layer is a third entry
+                        point to keep in step with them.
 
   R4 zero-alloc-fork    ParallelFor / ParallelForWithScratch / RunPanels chunk
                         bodies must not contain allocation tokens (new,
@@ -257,32 +263,43 @@ def check_determinism_sources(root):
 # ---------------------------------------------------------------------------
 # R3: ForwardInference threads a Workspace.
 # ---------------------------------------------------------------------------
+def definition_params(text, m):
+    """For a match ending at a '(', returns the parameter text when the
+    parameter list is followed (past const/noexcept/...) by '{', i.e. the
+    match is a definition; None for a declaration or a call site."""
+    params_end = match_bracket(text, m.end() - 1, '(', ')')
+    if params_end == -1:
+        return None
+    tail = text[params_end:]
+    tail_head = re.match(r'\s*(?:const|noexcept|override|final|\s)*', tail)
+    if tail[tail_head.end():tail_head.end() + 1] != '{':
+        return None
+    return text[m.end():params_end - 1]
+
+
 def check_workspace_threading(root):
     findings = []
-    for path in iter_source_files(root, [os.path.join("src", "nn"),
-                                         os.path.join("src", "core")],
+    nn_dir = os.path.join("src", "nn")
+    for path in iter_source_files(root, [nn_dir, os.path.join("src", "core")],
                                   exts=(".cc",)):
         rel = relpath(root, path)
         with open(path, encoding="utf-8", errors="replace") as f:
             text = strip_comments_and_strings(f.read())
         for m in re.finditer(r'\bForwardInference\s*\(', text):
-            params_end = match_bracket(text, m.end() - 1, '(', ')')
-            if params_end == -1:
-                continue
-            params = text[m.end():params_end - 1]
-            # Find what follows the parameter list (skipping const/noexcept):
-            # '{' starts a definition, ';' is a declaration, anything else
-            # (e.g. another '(') is a call site.
-            tail = text[params_end:]
-            tail_head = re.match(r'\s*(?:const|noexcept|override|final|\s)*', tail)
-            next_ch = tail[tail_head.end():tail_head.end() + 1]
-            if next_ch != '{':
-                continue  # declaration or call, not a definition
-            if not re.search(r'\bWorkspace\s*\*', params):
+            params = definition_params(text, m)
+            if params is not None and not re.search(r'\bWorkspace\s*\*', params):
                 findings.append((rel, line_of(text, m.start()), "workspace-threading",
                                  "ForwardInference definition does not take a "
                                  "Workspace*: its output would heap-allocate "
                                  "instead of landing in the caller's arena"))
+        if not rel.startswith(nn_dir + os.sep):
+            continue
+        for m in re.finditer(r'\bMatrix\s+\w+::(Forward|Backward)\s*\(', text):
+            if definition_params(text, m) is not None:
+                findings.append((rel, line_of(text, m.start()), "workspace-threading",
+                                 "by-value whole-batch %s definition: train the "
+                                 "layer through its row primitives and run it "
+                                 "through ForwardInference" % m.group(1)))
     return findings
 
 
@@ -572,6 +589,15 @@ SEEDED_VIOLATIONS = {
          "Matrix Foo::ForwardInference(const Matrix& x) const {\n"
          "  Workspace ws;\n"
          "  return *ForwardInference(x, &ws);\n"
+         "}\n"),
+        # A whole-batch training wrapper that keeps a copy of its input: a
+        # third entry point beside the row primitives and ForwardInference.
+        ("src/nn/bad_whole_batch.cc",
+         "Matrix Linear::Backward(const Matrix& dy) {\n"
+         "  dy_ = dy;\n"
+         "  Matrix dx(dy.rows(), in_dim());\n"
+         "  InputGradRows(0, dy.rows(), dx.data(), dx.cols());\n"
+         "  return dx;\n"
          "}\n")],
     "zero-alloc-fork": [
         ("src/nn/bad_fork.cc",
