@@ -160,6 +160,25 @@ ComputationVector PositionalEncoding(int ordering_value, double theta) {
   return pe;
 }
 
+PositionalEncodingTable::PositionalEncodingTable(double theta) : theta_(theta) {
+  for (int v = 0; v < kRows; ++v) {
+    rows_[static_cast<size_t>(v)] = PositionalEncoding(v, theta);
+  }
+}
+
+void PositionalEncodingTable::AddTo(int ordering_value, float* row) const {
+  const auto add = [row](const ComputationVector& pe) {
+    for (int j = 0; j < kFeatDim; ++j) {
+      row[j] += pe[static_cast<size_t>(j)];
+    }
+  };
+  if (ordering_value >= 0 && ordering_value < kRows) {
+    add(rows_[static_cast<size_t>(ordering_value)]);
+  } else {
+    add(PositionalEncoding(ordering_value, theta_));
+  }
+}
+
 std::vector<float> EncodeFeatures(const CompactAst& ast, bool use_pe, double theta) {
   std::vector<float> out(static_cast<size_t>(ast.num_leaves) * kFeatDim);
   for (int i = 0; i < ast.num_leaves; ++i) {

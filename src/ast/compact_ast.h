@@ -71,6 +71,28 @@ ComputationVector BuildComputationVector(const LeafContext& leaf);
 //   pe[2d+1] = cos(v / Theta^{2d / kFeatDim})
 ComputationVector PositionalEncoding(int ordering_value, double theta);
 
+// PositionalEncoding(v, theta) for the orderings v in [0, kRows), computed
+// once for one theta. Featurization adds every leaf's encoding on every
+// forward and training step, where the table read replaces 19 pow, 19 sin
+// and 19 cos evaluations per leaf. CdmppPredictor owns one, built from its
+// config's pe_theta. The zoo's largest ordering is 18; an ordering outside
+// the table (Submit accepts any CompactAst) is computed by
+// PositionalEncoding, so no result depends on the table's size.
+class PositionalEncodingTable {
+ public:
+  static constexpr int kRows = 64;
+
+  explicit PositionalEncodingTable(double theta);
+
+  // row[j] += PositionalEncoding(ordering_value, theta)[j] for every j, with
+  // the same float bits as that call.
+  void AddTo(int ordering_value, float* row) const;
+
+ private:
+  double theta_;
+  std::array<ComputationVector, kRows> rows_;
+};
+
 // Flattens the compact AST to a row-major [num_leaves x kFeatDim] feature
 // buffer; when use_pe is set, the positional encoding of each leaf's ordering
 // value is added element-wise to its computation vector.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/nn/optimizer.h"
 #include "src/support/check.h"
 
 namespace cdmpp {
@@ -11,14 +12,6 @@ namespace {
 constexpr int kOpFeatDim = 10;  // up to 7 log dims + log flops + log bytes + relu flag
 
 }  // namespace
-
-struct HabitatModel::PerOp {
-  std::unique_ptr<Mlp> mlp;
-  std::unique_ptr<Adam> adam;
-  // Collected training rows: op features and log-ms labels.
-  std::vector<std::vector<float>> features;
-  std::vector<float> log_labels;
-};
 
 HabitatModel::HabitatModel(const HabitatConfig& config) : config_(config) {
   rng_ = std::make_unique<Rng>(config.seed);
@@ -53,28 +46,32 @@ double HabitatModel::RooflineScale(const Task& task, int target_device) const {
 void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int source_device) {
   source_device_ = source_device;
   per_op_.clear();
+  // Training rows per op kind: op features and log-ms labels. They live for
+  // this call only.
+  struct Rows {
+    std::vector<std::vector<float>> features;
+    std::vector<float> log_labels;
+  };
+  std::map<OpKind, Rows> rows_by_kind;
   for (int idx : train) {
     const Sample& s = ds.samples[static_cast<size_t>(idx)];
     if (s.device_id != source_device) {
       continue;
     }
     const Task& task = ds.TaskOfProgram(s.program_index);
-    auto& slot = per_op_[task.kind];
-    if (slot == nullptr) {
-      slot = std::make_unique<PerOp>();
-    }
-    slot->features.push_back(OpFeatures(task));
-    slot->log_labels.push_back(static_cast<float>(std::log(s.latency_seconds * 1e3 + 1e-9)));
+    Rows& rows = rows_by_kind[task.kind];
+    rows.features.push_back(OpFeatures(task));
+    rows.log_labels.push_back(static_cast<float>(std::log(s.latency_seconds * 1e3 + 1e-9)));
   }
 
-  for (auto& [kind, op] : per_op_) {
-    op->mlp = std::make_unique<Mlp>(
+  for (const auto& [kind, rows] : rows_by_kind) {
+    auto mlp = std::make_unique<Mlp>(
         std::vector<int>{kOpFeatDim, config_.hidden_dim, config_.hidden_dim, 1}, rng_.get());
     std::vector<Param*> params;
-    op->mlp->CollectParams(&params);
-    op->adam = std::make_unique<Adam>(std::move(params), config_.lr);
+    mlp->CollectParams(&params);
+    Adam adam(std::move(params), config_.lr);
 
-    const int n = static_cast<int>(op->features.size());
+    const int n = static_cast<int>(rows.features.size());
     std::vector<int> order(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       order[static_cast<size_t>(i)] = i;
@@ -88,13 +85,15 @@ void HabitatModel::Fit(const Dataset& ds, const std::vector<int>& train, int sou
         for (int i = 0; i < b; ++i) {
           const size_t row = static_cast<size_t>(order[static_cast<size_t>(start + i)]);
           for (int j = 0; j < kOpFeatDim; ++j) {
-            x.At(i, j) = op->features[row][static_cast<size_t>(j)];
+            x.At(i, j) = rows.features[row][static_cast<size_t>(j)];
           }
-          targets[static_cast<size_t>(i)] = op->log_labels[row];
+          targets[static_cast<size_t>(i)] = rows.log_labels[row];
         }
-        MseStep(x, targets, op->mlp.get(), op->adam.get());
+        MseStep(x, targets, mlp.get(), &adam);
       }
     }
+    mlp->BeginStep(0);  // frees the training caches; prediction reads parameters only
+    per_op_[kind] = std::move(mlp);
   }
 }
 
@@ -102,7 +101,7 @@ double HabitatModel::PredictTask(const Task& task, int device_id) const {
   CDMPP_CHECK(source_device_ >= 0);
   auto it = per_op_.find(task.kind);
   double pred_ms;
-  if (it == per_op_.end() || it->second->mlp == nullptr) {
+  if (it == per_op_.end()) {
     pred_ms = 1.0;  // unseen op kind: Habitat cannot predict it
   } else {
     std::vector<float> f = OpFeatures(task);
@@ -111,7 +110,7 @@ double HabitatModel::PredictTask(const Task& task, int device_id) const {
       x.At(0, j) = f[static_cast<size_t>(j)];
     }
     Workspace ws;
-    const Matrix* log_ms = it->second->mlp->ForwardInference(x, &ws);
+    const Matrix* log_ms = it->second->ForwardInference(x, &ws);
     pred_ms = std::exp(static_cast<double>(log_ms->At(0, 0)));
   }
   if (device_id != source_device_) {

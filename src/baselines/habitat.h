@@ -15,7 +15,6 @@
 
 #include "src/dataset/dataset.h"
 #include "src/nn/layers.h"
-#include "src/nn/optimizer.h"
 
 namespace cdmpp {
 
@@ -44,14 +43,14 @@ class HabitatModel {
   double PredictTask(const Task& task, int device_id) const;
 
  private:
-  struct PerOp;
-
   static std::vector<float> OpFeatures(const Task& task);
   double RooflineScale(const Task& task, int target_device) const;
 
   HabitatConfig config_;
   int source_device_ = -1;
-  std::map<OpKind, std::unique_ptr<PerOp>> per_op_;
+  // One trained MLP per op kind seen on the source device; Fit keeps only
+  // their parameters.
+  std::map<OpKind, std::unique_ptr<Mlp>> per_op_;
   std::unique_ptr<Rng> rng_;
 };
 

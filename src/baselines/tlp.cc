@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/nn/optimizer.h"
 #include "src/support/check.h"
 
 namespace cdmpp {
@@ -60,7 +61,7 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
       std::vector<int>{kTlpFeatDim, config_.hidden_dim, config_.hidden_dim, 1}, &rng_);
   std::vector<Param*> params;
   mlp_->CollectParams(&params);
-  adam_ = std::make_unique<Adam>(std::move(params), config_.lr);
+  Adam adam(std::move(params), config_.lr);
 
   std::vector<int> order = train;
   const int n = static_cast<int>(order.size());
@@ -82,9 +83,10 @@ void TlpModel::Fit(const Dataset& ds, const std::vector<int>& train) {
         targets[static_cast<size_t>(i)] =
             static_cast<float>(std::log(std::max(1e-6, s.latency_seconds / mean)));
       }
-      MseStep(x, targets, mlp_.get(), adam_.get());
+      MseStep(x, targets, mlp_.get(), &adam);
     }
   }
+  mlp_->BeginStep(0);  // frees the training caches; Predict reads parameters only
 }
 
 std::vector<double> TlpModel::Predict(const Dataset& ds, const std::vector<int>& indices) const {

@@ -12,7 +12,6 @@
 
 #include "src/dataset/dataset.h"
 #include "src/nn/layers.h"
-#include "src/nn/optimizer.h"
 
 namespace cdmpp {
 
@@ -40,8 +39,7 @@ class TlpModel {
 
   TlpConfig config_;
   Rng rng_;
-  std::unique_ptr<Mlp> mlp_;
-  std::unique_ptr<Adam> adam_;
+  std::unique_ptr<Mlp> mlp_;  // parameters only once Fit returns
   std::map<int, double> task_mean_seconds_;
   double global_mean_seconds_ = 1e-3;
 };

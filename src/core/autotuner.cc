@@ -49,9 +49,8 @@ double ScoreTrial(const Dataset& ds, const std::vector<int>& valid,
   queries.reserve(valid.size());
   for (int s : valid) {
     const Sample& sample = ds.samples[static_cast<size_t>(s)];
-    queries.push_back(
-        CostQuery{&ds.programs[static_cast<size_t>(sample.program_index)].ast,
-                  sample.device_id});
+    const CompactAst& ast = ds.programs[static_cast<size_t>(sample.program_index)].ast;
+    queries.emplace_back(&ast, sample.device_id, ast.Hash());
   }
   std::vector<double> predictions;
   client->ScoreBatch(queries, &predictions);

@@ -72,6 +72,9 @@ void RunSampleShards(int batch, Fn&& fn) {
 
 CdmppPredictor::CdmppPredictor(const PredictorConfig& config)
     : config_(config), rng_(config.seed) {
+  if (config_.use_pe) {
+    pe_table_ = std::make_unique<const PositionalEncodingTable>(config_.pe_theta);
+  }
   input_proj_ = std::make_unique<Linear>(kFeatDim, config_.d_model, &rng_);
   encoder_ = std::make_unique<TransformerEncoder>(config_.d_model, config_.num_heads,
                                                   config_.d_ff, config_.num_layers, &rng_);
@@ -164,8 +167,7 @@ void CdmppPredictor::ForwardPass(const AstBatchView& view, const Batch& batch) {
   RunSampleShards(b, [&](Workspace* scratch, int s0, int s1) {
     const int r0 = s0 * l;
     const int r1 = s1 * l;
-    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta,
-                           feat_.Row(r0));
+    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, pe_table_.get(), feat_.Row(r0));
     const Matrix& h =
         encoder_->ForwardRows(input_proj_->ForwardRows(feat_, r0, r1), r0, r1, scratch);
     PackSampleRows(h, l, s0, s1, &packed_);
@@ -827,8 +829,7 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
   {
     obs::ScopedSpan span(obs::Stage::kFeaturize);
     const StandardScaler* scaler = scaler_.fitted() ? &scaler_ : nullptr;
-    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, config_.use_pe, config_.pe_theta,
-                           x->data());
+    BuildFeatureMatrixInto(view, batch, s0, s1, scaler, pe_table_.get(), x->data());
   }
   Matrix* h = nullptr;
   {

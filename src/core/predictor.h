@@ -270,6 +270,9 @@ class CdmppPredictor {
 
   PredictorConfig config_;
   Rng rng_;
+  // config_.pe_theta's positional encodings, which every featurization
+  // reads; null when !config_.use_pe.
+  std::unique_ptr<const PositionalEncodingTable> pe_table_;
 
   std::unique_ptr<Linear> input_proj_;
   std::unique_ptr<TransformerEncoder> encoder_;

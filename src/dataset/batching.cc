@@ -10,9 +10,9 @@ namespace {
 
 // One sample's [seq_len, kFeatDim] feature rows, written from `dst` on: each
 // leaf's computation vector, standardized by `scaler` (may be null), then
-// the positional encoding added if `use_pe`.
+// its positional encoding added from `pe` (null: none).
 void LeafFeatureRowsInto(const CompactAst& ast, int seq_len, const StandardScaler* scaler,
-                         bool use_pe, double theta, float* dst) {
+                         const PositionalEncodingTable* pe, float* dst) {
   CDMPP_CHECK(ast.num_leaves == seq_len);
   for (int t = 0; t < seq_len; ++t) {
     float* row = dst + static_cast<size_t>(t) * kFeatDim;
@@ -23,11 +23,8 @@ void LeafFeatureRowsInto(const CompactAst& ast, int seq_len, const StandardScale
     if (scaler != nullptr) {
       scaler->ApplyRow(row);
     }
-    if (use_pe) {
-      ComputationVector pe = PositionalEncoding(ast.ordering[static_cast<size_t>(t)], theta);
-      for (int j = 0; j < kFeatDim; ++j) {
-        row[j] += pe[static_cast<size_t>(j)];
-      }
+    if (pe != nullptr) {
+      pe->AddTo(ast.ordering[static_cast<size_t>(t)], row);
     }
   }
 }
@@ -102,23 +99,22 @@ std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view) {
 }
 
 Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
-                          const StandardScaler* scaler, bool use_pe, double theta) {
+                          const StandardScaler* scaler, const PositionalEncodingTable* pe) {
   const int b = static_cast<int>(batch.sample_indices.size());
   Matrix x(b * batch.seq_len, kFeatDim);
-  BuildFeatureMatrixInto(view, batch, 0, b, scaler, use_pe, theta, x.data());
+  BuildFeatureMatrixInto(view, batch, 0, b, scaler, pe, x.data());
   return x;
 }
 
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                            const StandardScaler* scaler, bool use_pe, double theta,
+                            const StandardScaler* scaler, const PositionalEncodingTable* pe,
                             float* dst) {
   const int l = batch.seq_len;
   CDMPP_CHECK(0 <= s0 && s0 <= s1 && s1 <= static_cast<int>(batch.sample_indices.size()));
   for (int i = s0; i < s1; ++i) {
     const CompactAst& ast =
         *view.asts[static_cast<size_t>(batch.sample_indices[static_cast<size_t>(i)])];
-    LeafFeatureRowsInto(ast, l, scaler, use_pe, theta,
-                        dst + static_cast<size_t>(i - s0) * l * kFeatDim);
+    LeafFeatureRowsInto(ast, l, scaler, pe, dst + static_cast<size_t>(i - s0) * l * kFeatDim);
   }
 }
 

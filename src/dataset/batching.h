@@ -7,6 +7,7 @@
 #include <map>
 #include <vector>
 
+#include "src/ast/compact_ast.h"
 #include "src/dataset/dataset.h"
 #include "src/ml/scaler.h"
 #include "src/nn/matrix.h"
@@ -53,10 +54,13 @@ std::map<int, std::vector<int>> GroupByLeafCount(const AstBatchView& view);
 
 // The [B * seq_len, kFeatDim] feature matrix for a batch whose
 // sample_indices are positions into `view`: per-leaf computation vectors
-// standardized by `scaler` (may be null), then the positional encoding added
-// if `use_pe`.
+// standardized by `scaler` (may be null), then each leaf's positional
+// encoding added from `pe` (may be null: no encoding). The predictor passes
+// its one table, built at construction from config().pe_theta, so no call
+// evaluates the encoding's sines and cosines for an ordering the table
+// holds; the rows are bitwise those PositionalEncoding would give.
 Matrix BuildFeatureMatrix(const AstBatchView& view, const Batch& batch,
-                          const StandardScaler* scaler, bool use_pe, double theta = 10000.0);
+                          const StandardScaler* scaler, const PositionalEncodingTable* pe);
 
 // The [B, kDeviceFeatDim] device feature matrix for a batch of view
 // positions.
@@ -67,7 +71,7 @@ Matrix BuildDeviceFeatureMatrix(const AstBatchView& view, const Batch& batch);
 // first row of sample s0) into memory the caller has sized: a Workspace
 // matrix for serving, the full-batch cache rows for training.
 void BuildFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
-                            const StandardScaler* scaler, bool use_pe, double theta,
+                            const StandardScaler* scaler, const PositionalEncodingTable* pe,
                             float* dst);
 void BuildDeviceFeatureMatrixInto(const AstBatchView& view, const Batch& batch, int s0, int s1,
                                   float* dst);

@@ -100,6 +100,18 @@ const DeviceSpec& DeviceById(int id) {
   return registry[static_cast<size_t>(id)];
 }
 
+uint64_t DeviceFingerprint(int id) {
+  static const std::vector<uint64_t> kFingerprints = [] {
+    std::vector<uint64_t> out;
+    for (const DeviceSpec& spec : DeviceRegistry()) {
+      out.push_back(spec.Fingerprint());
+    }
+    return out;
+  }();
+  CDMPP_CHECK(id >= 0 && id < static_cast<int>(kFingerprints.size()));
+  return kFingerprints[static_cast<size_t>(id)];
+}
+
 std::vector<int> GpuDeviceIds() { return {0, 1, 2, 3, 4}; }
 std::vector<int> CpuDeviceIds() { return {6, 7, 8}; }
 int AcceleratorDeviceId() { return 5; }

@@ -40,7 +40,8 @@ struct DeviceSpec {
   // Stable 64-bit fingerprint of the full spec (name + every numeric field).
   // Two specs fingerprint equal iff the cost model would see identical device
   // features, so the fingerprint is usable as a persistent cache-key component
-  // (src/serve/). Stable across runs and processes.
+  // (src/serve/). Stable across runs and processes. An FNV pass over the name
+  // and 11 doubles: per-request callers read DeviceFingerprint(id) instead.
   uint64_t Fingerprint() const;
 };
 
@@ -51,6 +52,12 @@ const std::vector<DeviceSpec>& DeviceRegistry();
 // Lookup by name; aborts if unknown.
 const DeviceSpec& DeviceByName(const std::string& name);
 const DeviceSpec& DeviceById(int id);
+
+// DeviceById(id).Fingerprint(), read from a table filled once over the
+// immutable registry; aborts if `id` is out of range. The serving cache key
+// (PredictionService) and the tuning client's dedup (ServeCostModel) read it
+// for every request.
+uint64_t DeviceFingerprint(int id);
 
 // Convenience id lists used by the cross-device experiments.
 std::vector<int> GpuDeviceIds();

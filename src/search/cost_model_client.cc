@@ -1,5 +1,6 @@
 #include "src/search/cost_model_client.h"
 
+#include <cassert>
 #include <chrono>
 #include <future>
 #include <map>
@@ -71,13 +72,13 @@ void ServeCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
   std::map<std::pair<uint64_t, uint64_t>, size_t> unique;  // key -> slot index
   std::vector<const CompactAst*> unique_asts;
   std::vector<int> unique_devices;
-  std::vector<uint64_t> unique_hashes;  // unique_asts[j]->Hash(), passed on
+  std::vector<uint64_t> unique_hashes;  // unique_asts[j]'s query ast_hash, passed on
   std::vector<size_t> slot_of(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const CostQuery& q = queries[i];
     CDMPP_CHECK(q.ast != nullptr && q.ast->num_leaves > 0);
-    const std::pair<uint64_t, uint64_t> key{q.ast->Hash(),
-                                            DeviceById(q.device_id).Fingerprint()};
+    assert(q.ast_hash == q.ast->Hash());
+    const std::pair<uint64_t, uint64_t> key{q.ast_hash, DeviceFingerprint(q.device_id)};
     const auto [it, inserted] = unique.emplace(key, unique_asts.size());
     if (inserted) {
       unique_asts.push_back(q.ast);
@@ -87,7 +88,7 @@ void ServeCostModel::ScoreBatchImpl(const std::vector<CostQuery>& queries,
     slot_of[i] = it->second;
   }
   // One bulk submission for the whole deduplicated population, with the
-  // hashes computed above so the service does not hash each AST again. The
+  // queries' hashes so the service does not hash each AST again. The
   // service scores it on this thread (see SubmitBorrowedBatch), so every
   // future is resolved on return; collecting positionally and fanning out
   // to duplicates in index order keeps the score vector independent of how

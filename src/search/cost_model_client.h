@@ -53,10 +53,20 @@ namespace cdmpp {
 using CostModelFn = std::function<double(const CompactAst& ast, int device_id)>;
 
 // One candidate to score. The AST is borrowed: it must stay alive and
-// unmodified until ScoreBatch returns.
+// unmodified until ScoreBatch returns. `ast_hash` must equal ast->Hash(): it
+// is the AST half of the serving cache key, and ServeCostModel dedups and
+// submits by it without hashing again, so a stale hash serves or caches
+// another program's latency (debug builds assert it). Producers compute it
+// where the AST is made — the search drivers inside ExtractPopulation's
+// fork — and the constructor takes every field, so a producer cannot leave
+// the hash out.
 struct CostQuery {
-  const CompactAst* ast = nullptr;
-  int device_id = 0;
+  CostQuery(const CompactAst* query_ast, int query_device_id, uint64_t query_ast_hash)
+      : ast(query_ast), device_id(query_device_id), ast_hash(query_ast_hash) {}
+
+  const CompactAst* ast;
+  int device_id;
+  uint64_t ast_hash;
 };
 
 // Traffic accounting across a client's lifetime (ResetStats reopens it).
@@ -126,9 +136,10 @@ class DirectCostModel : public CostModelClient {
 // The serving-backed client: hands every unique candidate of the batch to
 // the PredictionService in one SubmitBorrowedBatch call and collects results
 // in index order. Batch-local duplicates are deduplicated client-side by
-// (CompactAst::Hash(), DeviceSpec::Fingerprint()) before submission, and the
-// hashes computed for that go along with the ASTs, so each candidate is
-// hashed once; candidates re-visited across batches hit the service's
+// (CostQuery::ast_hash, DeviceFingerprint(device_id)) before submission, and
+// the queries' hashes go along with the ASTs, so no candidate is hashed on
+// this thread and the device fingerprints come from the registry's table;
+// candidates re-visited across batches hit the service's
 // sharded LRU cache under the same key instead of the forward pass. ASTs go
 // out zero-copy, and the service runs the population's cache misses as one
 // batch on the calling thread (coalesced, leaf-count-bucketed, the forward

@@ -23,12 +23,14 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
   const size_t chains = static_cast<size_t>(opts.chains);
   std::vector<ScheduleDesc> state(chains);
   std::vector<CompactAst> state_asts;
+  std::vector<uint64_t> state_hashes;  // state_hashes[c] == state_asts[c].Hash()
   std::vector<double> state_scores(chains);
 
   // Scratch reused per sweep (proposal ASTs must outlive ScoreBatch — the
   // CostQuery borrow contract).
   std::vector<ScheduleDesc> proposals(chains);
   std::vector<CompactAst> proposal_asts;
+  std::vector<uint64_t> proposal_hashes;
   std::vector<CostQuery> queries;
   std::vector<double> proposal_scores;
 
@@ -36,10 +38,10 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
   for (size_t c = 0; c < chains; ++c) {
     state[c] = SampleSchedule(task, &rng);
   }
-  ExtractPopulation(task, state, &state_asts);
+  ExtractPopulation(task, state, &state_asts, &state_hashes);
   queries.reserve(chains);
   for (size_t c = 0; c < chains; ++c) {
-    queries.push_back(CostQuery{&state_asts[c], device.id});
+    queries.emplace_back(&state_asts[c], device.id, state_hashes[c]);
   }
   client->ScoreBatch(queries, &state_scores);
   curve.total_candidates += static_cast<int>(chains);
@@ -64,10 +66,10 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
     for (size_t c = 0; c < chains; ++c) {
       proposals[c] = MutateSchedule(task, state[c], &rng);
     }
-    ExtractPopulation(task, proposals, &proposal_asts);
+    ExtractPopulation(task, proposals, &proposal_asts, &proposal_hashes);
     queries.clear();
     for (size_t c = 0; c < chains; ++c) {
-      queries.push_back(CostQuery{&proposal_asts[c], device.id});
+      queries.emplace_back(&proposal_asts[c], device.id, proposal_hashes[c]);
     }
     client->ScoreBatch(queries, &proposal_scores);
     curve.total_candidates += static_cast<int>(chains);
@@ -80,6 +82,7 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
       if (delta <= 0.0 || (temp > 0.0 && u < std::exp(-delta / temp))) {
         state[c] = std::move(proposals[c]);
         state_asts[c] = std::move(proposal_asts[c]);
+        state_hashes[c] = proposal_hashes[c];
         state_scores[c] = proposal_scores[c];
         proposals[c] = ScheduleDesc();
         proposal_asts[c] = CompactAst();
@@ -100,7 +103,7 @@ SearchCurve SimulatedAnnealingSearch(const Task& task, const DeviceSpec& device,
       if (latency < best) {
         best = latency;
         curve.best_schedule = state[c];
-        curve.best_ast_hash = state_asts[c].Hash();
+        curve.best_ast_hash = state_hashes[c];
       }
     }
     curve.best_after_round.push_back(best);

@@ -26,21 +26,23 @@ SearchCurve EvolutionarySearch(const Task& task, const DeviceSpec& device,
   std::vector<ScheduleDesc> elite;  // measured good candidates seed mutations
 
   // Reused per round: extracted ASTs (kept alive across ScoreBatch — the
-  // CostQuery borrow contract), query list, index-ordered scores.
+  // CostQuery borrow contract) and their hashes, query list, index-ordered
+  // scores.
   std::vector<CompactAst> asts;
+  std::vector<uint64_t> hashes;
   std::vector<CostQuery> queries;
   std::vector<double> scores;
 
   for (int round = 0; round < opts.rounds; ++round) {
-    // Extract every candidate's AST on the pool, then rank the whole
-    // population with ONE ScoreBatch. The score vector is index-ordered by
-    // contract, so ranking below is independent of how the client evaluated
-    // it.
-    ExtractPopulation(task, population, &asts);
+    // Extract and hash every candidate's AST on the pool, then rank the
+    // whole population with ONE ScoreBatch. The score vector is
+    // index-ordered by contract, so ranking below is independent of how the
+    // client evaluated it.
+    ExtractPopulation(task, population, &asts, &hashes);
     queries.clear();
     queries.reserve(asts.size());
-    for (const CompactAst& ast : asts) {
-      queries.push_back(CostQuery{&ast, device.id});
+    for (size_t i = 0; i < asts.size(); ++i) {
+      queries.emplace_back(&asts[i], device.id, hashes[i]);
     }
     client->ScoreBatch(queries, &scores);
     curve.total_candidates += static_cast<int>(queries.size());
@@ -61,7 +63,7 @@ SearchCurve EvolutionarySearch(const Task& task, const DeviceSpec& device,
       if (latency < best) {
         best = latency;
         curve.best_schedule = cand;
-        curve.best_ast_hash = asts[idx].Hash();
+        curve.best_ast_hash = hashes[idx];
         elite.clear();
         elite.push_back(cand);
       } else if (elite.size() < 4) {

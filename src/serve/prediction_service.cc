@@ -1,6 +1,7 @@
 #include "src/serve/prediction_service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -86,20 +87,18 @@ void PredictionService::Recalibrate() {
 bool PredictionService::BuildRequest(const CompactAst& ast, uint64_t ast_hash, int device_id,
                                      bool copy_ast, Request* req, std::future<double>* ready) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Boundary checks fail this request's future instead of aborting; they
-  // replace the checks DeviceById would otherwise make, so valid requests
-  // pay nothing extra.
+  // Boundary checks fail this request's future instead of aborting, so
+  // DeviceFingerprint's range check below never fires.
   if (ast.num_leaves <= 0) {
     *ready = FailedFuture(std::invalid_argument("CompactAst has no leaves"));
     return false;
   }
-  const std::vector<DeviceSpec>& devices = DeviceRegistry();
-  if (device_id < 0 || device_id >= static_cast<int>(devices.size())) {
+  if (device_id < 0 || device_id >= static_cast<int>(DeviceRegistry().size())) {
     *ready = FailedFuture(std::invalid_argument("device_id " + std::to_string(device_id) +
                                                 " is not in the device registry"));
     return false;
   }
-  CacheKey key{ast_hash, devices[static_cast<size_t>(device_id)].Fingerprint()};
+  CacheKey key{ast_hash, DeviceFingerprint(device_id)};
   // Sampling decision up front so the cache-hit fast path is traceable too.
   // With sampling off (the default) this is one relaxed load and a branch.
   const bool traced = obs::TraceCollector::Global().ShouldSample();
@@ -168,6 +167,7 @@ std::vector<std::future<double>> PredictionService::SubmitBorrowedBatch(
   pending.reserve(asts.size());
   for (size_t i = 0; i < asts.size(); ++i) {
     CDMPP_CHECK(asts[i] != nullptr);
+    assert(ast_hashes.empty() || ast_hashes[i] == asts[i]->Hash());
     const uint64_t hash = ast_hashes.empty() ? asts[i]->Hash() : ast_hashes[i];
     Request req;
     std::future<double> ready;

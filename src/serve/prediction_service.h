@@ -132,8 +132,8 @@ class PredictionService {
   //   * precomputed hashes — `ast_hashes`, when not empty, must have one
   //     entry per AST with ast_hashes[i] == asts[i]->Hash(). The hash is the
   //     AST half of the prediction-cache key shared with Submit, so a wrong
-  //     hash serves or caches another program's latency; it is not
-  //     re-checked. Empty (the default) hashes each AST here.
+  //     hash serves or caches another program's latency; only debug builds
+  //     re-check it (an assert). Empty (the default) hashes each AST here.
   // Same semantics per request otherwise: cache fast path, coalescing,
   // stats and traces, and Submit's error split (an invalid request fails
   // only its own future; after Shutdown a request that misses the cache

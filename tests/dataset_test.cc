@@ -343,12 +343,54 @@ TEST(BatchingTest, FeatureMatrixShapes) {
   auto batches = MakeBatches(GroupByLeafCount(view), 16, &rng);
   ASSERT_FALSE(batches.empty());
   const Batch& b = batches.front();
-  Matrix x = BuildFeatureMatrix(view, b, nullptr, true);
+  const PositionalEncodingTable pe(10000.0);
+  Matrix x = BuildFeatureMatrix(view, b, nullptr, &pe);
   EXPECT_EQ(x.rows(), static_cast<int>(b.sample_indices.size()) * b.seq_len);
   EXPECT_EQ(x.cols(), kFeatDim);
   Matrix dev = BuildDeviceFeatureMatrix(view, b);
   EXPECT_EQ(dev.rows(), static_cast<int>(b.sample_indices.size()));
   EXPECT_EQ(dev.cols(), kDeviceFeatDim);
+}
+
+// The positional-encoding table changes no feature bit: without a scaler,
+// BuildFeatureMatrix equals EncodeFeatures(ast, /*use_pe=*/true) bitwise, for
+// zoo ASTs (every ordering inside the table) and for a hand-edited AST whose
+// orderings straddle the table's end (the rows past it take the computed
+// fallback).
+TEST(BatchingTest, PositionalEncodingTableMatchesEncodeFeaturesBitwise) {
+  Dataset ds = BuildDataset(SmallOptions());
+  std::vector<CompactAst> asts;
+  for (const ProgramRecord& rec : ds.programs) {
+    asts.push_back(rec.ast);
+  }
+  for (const CompactAst& ast : asts) {
+    if (ast.num_leaves >= 3) {
+      CompactAst edited = ast;
+      for (int t = 0; t < edited.num_leaves; ++t) {
+        edited.ordering[static_cast<size_t>(t)] = PositionalEncodingTable::kRows - 2 + t;
+      }
+      edited.num_nodes = PositionalEncodingTable::kRows - 1 + edited.num_leaves;
+      asts.push_back(edited);
+      break;
+    }
+  }
+  ASSERT_GT(asts.back().ordering.back(), PositionalEncodingTable::kRows);
+  for (double theta : {10000.0, 500.0}) {
+    const PositionalEncodingTable pe(theta);
+    for (const CompactAst& ast : asts) {
+      AstBatchView view;
+      view.asts.push_back(&ast);
+      view.device_ids.push_back(0);
+      Batch b;
+      b.seq_len = ast.num_leaves;
+      b.sample_indices = {0};
+      const Matrix x = BuildFeatureMatrix(view, b, nullptr, &pe);
+      const std::vector<float> expected = EncodeFeatures(ast, /*use_pe=*/true, theta);
+      ASSERT_EQ(x.size(), expected.size());
+      EXPECT_EQ(std::memcmp(x.data(), expected.data(), expected.size() * sizeof(float)), 0)
+          << "theta " << theta << ", orderings up to " << ast.ordering.back();
+    }
+  }
 }
 
 TEST(BatchingTest, StackLeafRowsMatchesTotalLeaves) {

@@ -192,6 +192,64 @@ TEST(SearchTest, CurvesMatchGoldenFingerprint) {
   }
 }
 
+// Scores with the golden fingerprint's heuristic and counts the queries whose
+// ast_hash is not their AST's Hash() (the CostQuery contract).
+class HashCheckingClient : public CostModelClient {
+ public:
+  size_t checked = 0;
+  size_t stale = 0;
+
+ protected:
+  void ScoreBatchImpl(const std::vector<CostQuery>& queries,
+                      std::vector<double>* scores) override {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const CompactAst& ast = *queries[i].ast;
+      ++checked;
+      stale += queries[i].ast_hash != ast.Hash() ? 1 : 0;
+      double score = 1.0 + 1e-3 * ast.num_nodes;
+      for (const ComputationVector& cv : ast.leaves) {
+        score -= 0.1 * cv[19] + 0.1 * cv[22];
+      }
+      (*scores)[i] = score;
+    }
+    stats_.submitted += queries.size();
+  }
+};
+
+// Both drivers hash each candidate inside the extraction fork: every query
+// they issue carries its AST's hash, and each curve's best_ast_hash (read
+// from the fork's hashes; SA keeps its chain hashes in step with accepted
+// proposals) is the hash of its best schedule's AST, at every pool size.
+TEST(SearchTest, QueriesCarryTheirAstHash) {
+  const DeviceSpec& dev = DeviceByName("T4");
+  SearchOptions evo;
+  evo.rounds = 6;
+  evo.population = 16;
+  evo.measured_per_round = 3;
+  SaOptions sa;
+  sa.sweeps = 8;
+  sa.chains = 8;
+  sa.measured_per_sweep = 2;
+  auto best_hash = [](const Task& task, const SearchCurve& curve) {
+    return ExtractCompactAst(GenerateProgram(task, curve.best_schedule)).Hash();
+  };
+  for (int threads : {1, 2, 4}) {
+    ScopedPool pool(threads);
+    HashCheckingClient client;
+    uint64_t seed = 41;
+    for (const Task& task : GoldenTasks()) {
+      evo.seed = seed++;
+      const SearchCurve evo_curve = EvolutionarySearch(task, dev, &client, evo);
+      EXPECT_EQ(evo_curve.best_ast_hash, best_hash(task, evo_curve)) << threads;
+      sa.seed = seed++;
+      const SearchCurve sa_curve = SimulatedAnnealingSearch(task, dev, &client, sa);
+      EXPECT_EQ(sa_curve.best_ast_hash, best_hash(task, sa_curve)) << threads;
+    }
+    EXPECT_EQ(client.checked, 3u * (6 * 16 + 8 + 8 * 8)) << threads;
+    EXPECT_EQ(client.stale, 0u) << threads << " pool threads";
+  }
+}
+
 // ---- Client-seam tests against a trained predictor -------------------------
 
 // One tiny trained world shared by the client/parity tests (training dominates
@@ -266,7 +324,7 @@ TEST(CostClientTest, ServeScoresBitwiseEqualDirect) {
   SearchWorld& w = World();
   std::vector<CostQuery> queries;
   for (const CompactAst& ast : w.workload) {
-    queries.push_back(CostQuery{&ast, 0});
+    queries.emplace_back(&ast, 0, ast.Hash());
   }
 
   DirectCostModel direct(w.predictor.get());
@@ -300,7 +358,7 @@ TEST(CostClientTest, DedupDrivesCacheHits) {
   std::vector<CostQuery> queries;
   for (int rep = 0; rep < 3; ++rep) {
     for (const CompactAst& ast : w.workload) {
-      queries.push_back(CostQuery{&ast, 0});
+      queries.emplace_back(&ast, 0, ast.Hash());
     }
   }
   // Distinct workload entries can still collide by content (two tasks can
@@ -515,9 +573,8 @@ TEST(AutotunerSeamTest, ServeAndDirectScoringAgreeBitwise) {
   std::vector<CostQuery> queries;
   for (int s : valid) {
     const Sample& sample = w.ds.samples[static_cast<size_t>(s)];
-    queries.push_back(
-        CostQuery{&w.ds.programs[static_cast<size_t>(sample.program_index)].ast,
-                  sample.device_id});
+    const CompactAst& ast = w.ds.programs[static_cast<size_t>(sample.program_index)].ast;
+    queries.emplace_back(&ast, sample.device_id, ast.Hash());
   }
   DirectCostModel direct(&predictor);
   std::vector<double> predictions;

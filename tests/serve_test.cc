@@ -758,7 +758,7 @@ TEST(QuantizedServingTest, WeightChangesDropInt8PacksUntilReprepared) {
     predictor.EnsureHead(ast.num_leaves);  // packed: the predictor is prepared
     view.asts.push_back(&ast);
     view.device_ids.push_back(0);
-    queries.push_back({&ast, 0});
+    queries.emplace_back(&ast, 0, ast.Hash());
   }
   const std::vector<double> prepared = predictor.PredictBatchedQuantized(view);
 

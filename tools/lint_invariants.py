@@ -61,7 +61,9 @@ in a temp tree and asserts the linter catches it):
                         and gradient/optimizer kernels its shard and task
                         bodies call (every *Rows* function, the layers' shared
                         ForwardRowsInto bodies included, CacheDest, the
-                        Build*MatrixInto featurizers, RunGradTask,
+                        Build*MatrixInto featurizers and the positional-
+                        encoding lookup they call per leaf
+                        (PositionalEncodingTable::AddTo), RunGradTask,
                         AddColumnSums, AdamUpdate in the training sources)
                         must be token-free too: shard scratch comes
                         from the region's leases or from caches sized before
@@ -76,12 +78,13 @@ in a temp tree and asserts the linter catches it):
                         bodies and ArenaDest, AttentionContextRows, AddRows,
                         Linear's int8 row helpers QuantizeRows and
                         ForwardQuantizedRowsInto, SoftmaxRows,
-                        QuantizeRowsImpl, the Pack*Rows* packers and the
-                        featurizers) must be token-free: its tensors come from
-                        the shard's arena. The ForwardRowsInto bodies (Linear's
-                        int8 branch included), AttentionContextRows and the
-                        featurizers run in both regions, so both scopes scan
-                        them.
+                        QuantizeRowsImpl, the Pack*Rows* packers, the
+                        featurizers and their PositionalEncodingTable::AddTo)
+                        must be token-free: its tensors come from the shard's
+                        arena. The ForwardRowsInto bodies (Linear's int8
+                        branch included), AttentionContextRows, the
+                        featurizers and AddTo run in both regions, so both
+                        scopes scan them.
                         Scope: the zero-allocation contract covers the warm
                         serving forward and the training step, the two
                         regions above whose callees are listed. Other forks
@@ -409,10 +412,10 @@ def all_lambda_bodies(text):
 # that define them.
 TRAINING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
                   "src/nn/transformer.cc", "src/nn/optimizer.cc",
-                  "src/dataset/batching.cc")
+                  "src/dataset/batching.cc", "src/ast/compact_ast.cc")
 TRAINING_SHARD_FN = re.compile(
     r'\b(?:\w*Rows\w*|CacheDest|Build\w*MatrixInto|RunGradTask|AddColumnSums|'
-    r'AdamUpdate)\s*\(')
+    r'AdamUpdate|AddTo)\s*\(')
 
 
 def function_bodies(text, name_re):
@@ -445,11 +448,12 @@ def alloc_findings(rel, text, regions, why):
 # The serving forward's shard region calls these; scanned by name in the
 # files that define them.
 SERVING_FILES = ("src/core/predictor.cc", "src/nn/layers.cc", "src/nn/attention.cc",
-                 "src/nn/transformer.cc", "src/nn/quantize.cc", "src/dataset/batching.cc")
+                 "src/nn/transformer.cc", "src/nn/quantize.cc", "src/dataset/batching.cc",
+                 "src/ast/compact_ast.cc")
 SERVING_SHARD_FN = re.compile(
     r'\b(?:ForwardShard|\w*ForwardInference|ForwardRowsInto|ArenaDest|AttentionContextRows|'
     r'AddRows|QuantizeRows|ForwardQuantizedRowsInto|SoftmaxRows|QuantizeRowsImpl|'
-    r'Pack\w*Rows\w*|LeafFeatureRowsInto|Build\w*MatrixInto)\s*\(')
+    r'Pack\w*Rows\w*|LeafFeatureRowsInto|Build\w*MatrixInto|AddTo)\s*\(')
 
 
 def callee_findings(root, files, fn_re, what, why):
@@ -686,6 +690,16 @@ SEEDED_VIOLATIONS = {
          "void AttentionContextRows(const Matrix& q, int r0, int r1, Workspace* scratch) {\n"
          "  auto scores = std::make_unique<Matrix>(8, 8);\n"
          "  scratch->NewMatrix(r1 - r0, q.cols());\n"
+         "}\n",
+         ("training row primitive", "serving shard function")),
+        # The positional-encoding lookup, which both regions' featurizers
+        # call per leaf: a heap row for the fallback encoding there must
+        # fire in both scopes.
+        ("src/ast/compact_ast.cc",
+         "void PositionalEncodingTable::AddTo(int ordering_value, float* row) const {\n"
+         "  std::vector<float> pe(kFeatDim);\n"
+         "  pe.resize(kFeatDim);\n"
+         "  row[0] += pe[0];\n"
          "}\n",
          ("training row primitive", "serving shard function")),
     ],
