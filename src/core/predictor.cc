@@ -889,22 +889,14 @@ void CdmppPredictor::ForwardShard(const AstBatchView& view, const Batch& batch, 
   }
 }
 
-EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& indices) {
+EvalStats EvalPredictions(const Dataset& ds, const std::vector<int>& indices,
+                          const std::vector<double>& preds_seconds) {
   EvalStats stats;
-  if (indices.empty()) {
-    return stats;
-  }
-  std::vector<double> pred = Predict(ds, indices);
-  std::vector<double> truth;
-  truth.reserve(indices.size());
-  for (int idx : indices) {
-    truth.push_back(ds.samples[static_cast<size_t>(idx)].latency_seconds);
-  }
-  std::vector<double> pred_ms(pred.size());
-  std::vector<double> truth_ms(truth.size());
-  for (size_t i = 0; i < pred.size(); ++i) {
-    pred_ms[i] = pred[i] * kSecondsToMs;
-    truth_ms[i] = truth[i] * kSecondsToMs;
+  std::vector<double> pred_ms(preds_seconds.size());
+  std::vector<double> truth_ms(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    pred_ms[i] = preds_seconds[i] * kSecondsToMs;
+    truth_ms[i] = ds.samples[static_cast<size_t>(indices[i])].latency_seconds * kSecondsToMs;
   }
   stats.mape = Mape(pred_ms, truth_ms);
   stats.rmse_ms = Rmse(pred_ms, truth_ms);
@@ -913,6 +905,13 @@ EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& in
   stats.acc5 = AccuracyWithin(pred_ms, truth_ms, 0.05);
   stats.count = static_cast<int>(indices.size());
   return stats;
+}
+
+EvalStats CdmppPredictor::Evaluate(const Dataset& ds, const std::vector<int>& indices) {
+  if (indices.empty()) {
+    return EvalStats{};
+  }
+  return EvalPredictions(ds, indices, Predict(ds, indices));
 }
 
 Matrix CdmppPredictor::EncodeLatent(const Dataset& ds, const std::vector<int>& indices) {

@@ -75,6 +75,12 @@ struct EvalStats {
   int count = 0;
 };
 
+// MAPE, RMSE and acc@20/10/5 of `preds_seconds` against the measured latencies
+// of samples `indices` of `ds`, both taken in milliseconds. Evaluate and the
+// baselines' benches share it, so every model is scored by one formula.
+EvalStats EvalPredictions(const Dataset& ds, const std::vector<int>& indices,
+                          const std::vector<double>& preds_seconds);
+
 struct TrainStats {
   std::vector<double> epoch_train_loss;
   std::vector<double> epoch_valid_mape;

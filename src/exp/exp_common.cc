@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "src/support/stats.h"
-
 namespace cdmpp {
 
 namespace {
@@ -31,24 +29,6 @@ PredictorConfig BenchPredictorConfig(int epochs, uint64_t seed) {
   cfg.epochs = epochs;
   cfg.seed = seed;
   return cfg;
-}
-
-EvalStats EvalPredictions(const Dataset& ds, const std::vector<int>& indices,
-                          const std::vector<double>& preds_seconds) {
-  EvalStats stats;
-  std::vector<double> pred_ms(preds_seconds.size());
-  std::vector<double> truth_ms(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    pred_ms[i] = preds_seconds[i] * 1e3;
-    truth_ms[i] = ds.samples[static_cast<size_t>(indices[i])].latency_seconds * 1e3;
-  }
-  stats.mape = Mape(pred_ms, truth_ms);
-  stats.rmse_ms = Rmse(pred_ms, truth_ms);
-  stats.acc20 = AccuracyWithin(pred_ms, truth_ms, 0.2);
-  stats.acc10 = AccuracyWithin(pred_ms, truth_ms, 0.1);
-  stats.acc5 = AccuracyWithin(pred_ms, truth_ms, 0.05);
-  stats.count = static_cast<int>(indices.size());
-  return stats;
 }
 
 std::vector<int> Take(const std::vector<int>& indices, size_t n) {

@@ -1,8 +1,7 @@
 // Shared setup for the benchmark harnesses that regenerate the paper's
 // tables and figures: a common dataset configuration, predictor configs, and
-// evaluation helpers. Every bench is one process; the dataset is built
-// deterministically at startup from the same seed so results are comparable
-// across benches.
+// small helpers. Each figure builds its dataset deterministically from the
+// same seed, so results are comparable across figures.
 #ifndef SRC_EXP_EXP_COMMON_H_
 #define SRC_EXP_EXP_COMMON_H_
 
@@ -16,7 +15,8 @@ namespace cdmpp {
 
 // The evaluation dataset: all nine Table-2 devices, a representative slice of
 // the model zoo, several schedules per task. Scaled down from Tenset's 50M
-// records to run on one CPU core (see DESIGN.md "Scaling note").
+// records to run on one CPU core: 30 networks, 6 schedules per task, and
+// log-normal measurement noise of sigma 0.03.
 Dataset BuildBenchDataset();
 
 // Like BuildBenchDataset but restricted to the given devices (faster when a
@@ -26,10 +26,6 @@ Dataset BuildBenchDataset(const std::vector<int>& device_ids);
 // The default predictor configuration used across benches (the auto-tuned
 // defaults of PredictorConfig) with a bench-specific epoch budget.
 PredictorConfig BenchPredictorConfig(int epochs, uint64_t seed = 7);
-
-// MAPE etc. of externally produced predictions (seconds) against the truth.
-EvalStats EvalPredictions(const Dataset& ds, const std::vector<int>& indices,
-                          const std::vector<double>& preds_seconds);
 
 // Truncates an index list to at most n entries (keeps determinism: prefix).
 std::vector<int> Take(const std::vector<int>& indices, size_t n);

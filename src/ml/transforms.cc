@@ -30,14 +30,6 @@ std::vector<double> LabelTransform::TransformAll(const std::vector<double>& y) c
   return out;
 }
 
-std::vector<double> LabelTransform::InverseAll(const std::vector<double>& t) const {
-  std::vector<double> out(t.size());
-  for (size_t i = 0; i < t.size(); ++i) {
-    out[i] = Inverse(t[i]);
-  }
-  return out;
-}
-
 namespace {
 
 // Golden-section maximization of `f` over [lo, hi].

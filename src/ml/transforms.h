@@ -33,7 +33,6 @@ class LabelTransform {
   virtual double Inverse(double t) const = 0;
 
   std::vector<double> TransformAll(const std::vector<double>& y) const;
-  std::vector<double> InverseAll(const std::vector<double>& t) const;
 };
 
 // Factory for the four methods of Table 3.

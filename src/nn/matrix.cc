@@ -21,13 +21,6 @@ void Matrix::AddInPlace(const Matrix& other) {
   }
 }
 
-void Matrix::AddScaled(const Matrix& other, float scale) {
-  CDMPP_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
-}
-
 void Matrix::Scale(float scale) {
   for (float& v : data_) {
     v *= scale;

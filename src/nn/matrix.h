@@ -56,8 +56,6 @@ class Matrix {
 
   // this += other (same shape).
   void AddInPlace(const Matrix& other);
-  // this += scale * other.
-  void AddScaled(const Matrix& other, float scale);
   // this *= scale.
   void Scale(float scale);
 

@@ -137,15 +137,6 @@ double HistogramSnapshot::MinValue() const {
   return 0.0;
 }
 
-double HistogramSnapshot::MaxValue() const {
-  for (size_t i = buckets.size(); i > 0; --i) {
-    if (buckets[i - 1] != 0) {
-      return LogHistogram::BucketMidpoint(static_cast<int>(i - 1));
-    }
-  }
-  return 0.0;
-}
-
 void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   if (buckets.empty()) {
     buckets.resize(LogHistogram::kNumBuckets, 0);

@@ -37,9 +37,8 @@ struct HistogramSnapshot {
   double Percentile(double p) const;
   // Bucket-midpoint-weighted mean; 0 for an empty snapshot.
   double Mean() const;
-  // Midpoints of the lowest/highest occupied buckets; 0 for an empty snapshot.
+  // Midpoint of the lowest occupied bucket; 0 for an empty snapshot.
   double MinValue() const;
-  double MaxValue() const;
 
   // Element-wise sum; combines two independent runs. Bucket layouts always
   // match (they are compile-time constants of LogHistogram).

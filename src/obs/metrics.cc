@@ -76,11 +76,6 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
   return counters_[name];  // node-based map: the reference is stable
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_[name];
-}
-
 std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, uint64_t> values;
@@ -90,31 +85,13 @@ std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
   return values;
 }
 
-std::map<std::string, double> MetricsRegistry::GaugeValues() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> values;
-  for (const auto& [name, gauge] : gauges_) {
-    values[name] = gauge.Value();
-  }
-  return values;
-}
-
 std::string MetricsRegistry::DumpJson() const {
   const std::map<std::string, uint64_t> counters = CounterValues();
-  const std::map<std::string, double> gauges = GaugeValues();
   std::string out = "{\"counters\": {";
   char buf[64];
   bool first = true;
   for (const auto& [name, value] : counters) {
     std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(value));
-    out += first ? "" : ", ";
-    out += "\"" + name + "\": " + buf;
-    first = false;
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
     out += first ? "" : ", ";
     out += "\"" + name + "\": " + buf;
     first = false;

@@ -1,5 +1,5 @@
-// Process-wide metrics registry: named counters and gauges with lock-free
-// recording on the hot path.
+// Process-wide metrics registry: named counters with lock-free recording on
+// the hot path.
 //
 // Counters accumulate into writer-exclusive cache-line-padded cells indexed
 // by a per-thread slot: because exactly one thread writes a given cell, the
@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
@@ -120,55 +119,23 @@ class Counter {
   std::atomic<uint64_t> overflow_{0};
 };
 
-// Last-writer-wins double-valued gauge (stored as IEEE-754 bits in a
-// uint64 atomic, so it stays lock-free everywhere).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(double value) {
-    if (!MetricsEnabled()) {
-      return;
-    }
-    uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    // Relaxed: the gauge IS the whole payload — one 64-bit cell, no side
-    // data for an acquire/release pair to protect. Readers get some
-    // recently-written value, which is the gauge contract.
-    bits_.store(bits, std::memory_order_relaxed);
-  }
-  double Value() const {
-    const uint64_t bits = bits_.load(std::memory_order_relaxed);
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-  }
-
- private:
-  std::atomic<uint64_t> bits_{0};  // all-zero bits == 0.0
-};
-
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  // Returns the counter/gauge registered under `name`, creating it on first
-  // use. References stay valid for the life of the process; hot call sites
-  // should cache them (function-local static).
+  // Returns the counter registered under `name`, creating it on first use.
+  // References stay valid for the life of the process; hot call sites should
+  // cache them (function-local static).
   Counter& GetCounter(const std::string& name);
-  Gauge& GetGauge(const std::string& name);
 
-  // Point-in-time values of every registered metric, sorted by name.
+  // Point-in-time values of every registered counter, sorted by name.
   std::map<std::string, uint64_t> CounterValues() const;
-  std::map<std::string, double> GaugeValues() const;
 
-  // {"counters": {...}, "gauges": {...}} with sorted keys.
+  // {"counters": {...}} with sorted keys.
   std::string DumpJson() const;
 
-  // Zeroes every counter (gauges keep their last value). Bench/test hook for
-  // measuring per-run deltas; racing Add() calls land in the new window.
+  // Zeroes every counter. Bench/test hook for measuring per-run deltas;
+  // racing Add() calls land in the new window.
   void ResetCounters();
 
  private:
@@ -177,7 +144,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   // std::map: stable node addresses AND sorted iteration for DumpJson.
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
 };
 
 }  // namespace obs

@@ -73,7 +73,6 @@ struct SpanRecord {
 // the worker thread that bound it.
 class Trace {
  public:
-  void Clear() { spans_.clear(); }
   void AddSpan(Stage stage, int depth, double total_ms, double exclusive_ms) {
     spans_.push_back(SpanRecord{stage, depth, total_ms, exclusive_ms});
   }

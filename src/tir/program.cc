@@ -38,24 +38,6 @@ const char* ComputeKindName(ComputeKind kind) {
   return "unknown";
 }
 
-const char* PrimitiveKindName(PrimitiveKind kind) {
-  switch (kind) {
-    case PrimitiveKind::kSplit:
-      return "split";
-    case PrimitiveKind::kVectorize:
-      return "vectorize";
-    case PrimitiveKind::kUnroll:
-      return "unroll";
-    case PrimitiveKind::kParallel:
-      return "parallel";
-    case PrimitiveKind::kCacheWrite:
-      return "cache_write";
-    case PrimitiveKind::kFuseEpilogue:
-      return "fuse_epilogue";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<StmtNode> StmtNode::MakeLoop(Loop loop) {
   auto node = std::make_unique<StmtNode>();
   node->is_leaf = false;

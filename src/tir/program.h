@@ -90,7 +90,6 @@ struct StmtNode {
 // featurizes the primitive sequence instead of the program (paper §2.2).
 enum class PrimitiveKind { kSplit, kVectorize, kUnroll, kParallel, kCacheWrite, kFuseEpilogue };
 
-const char* PrimitiveKindName(PrimitiveKind kind);
 constexpr int kNumPrimitiveKinds = 6;
 
 struct SchedulePrimitive {

@@ -252,10 +252,8 @@ TEST(MetricsTest, RegistryHandsOutStableReferencesAndDumpsJson) {
   c1.Add(41);
   c2.Add(1);
   EXPECT_EQ(registry.CounterValues().at("test.stable"), 42u);
-  registry.GetGauge("test.gauge").Set(2.5);
   const std::string json = registry.DumpJson();
   EXPECT_NE(json.find("\"test.stable\": 42"), std::string::npos);
-  EXPECT_NE(json.find("\"test.gauge\": 2.5"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
 }
 
